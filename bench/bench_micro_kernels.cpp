@@ -4,6 +4,7 @@
 // kernel. Useful for regression-tracking the kernels themselves.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/aligned.h"
@@ -90,11 +91,11 @@ void BM_PartialsScalarCodon(benchmark::State& state) {
 BENCHMARK(BM_PartialsScalarCodon)->Arg(256)->Arg(1024);
 
 void runSharedKernel(benchmark::State& state, hal::KernelVariant variant,
-                     int patterns) {
-  PartialsFixture f(patterns, 4);
+                     int patterns, int states) {
+  PartialsFixture f(patterns, states);
   hal::KernelSpec spec;
   spec.id = hal::KernelId::PartialsPartials;
-  spec.states = 4;
+  spec.states = states;
   spec.variant = variant;
   const hal::KernelFn fn = kernels::lookupKernel(spec);
 
@@ -108,12 +109,12 @@ void runSharedKernel(benchmark::State& state, hal::KernelVariant variant,
   args.buffers[4] = f.m2.data();
   args.ints[0] = patterns;
   args.ints[1] = f.categories;
-  args.ints[2] = 4;
+  args.ints[2] = states;
   args.ints[3] = ppg;
 
   // GPU-style groups stage matrices plus a 2 x ppg x states partials block.
-  std::vector<std::byte> localMem(kernels::gpuStyleLocalMemBytes(4, false) +
-                                  2ull * ppg * 4 * sizeof(double));
+  std::vector<std::byte> localMem(kernels::gpuStyleLocalMemBytes(states, false) +
+                                  2ull * ppg * states * sizeof(double));
   hal::WorkGroupCtx ctx;
   ctx.localMem = localMem.data();
   ctx.localMemBytes = localMem.size();
@@ -125,43 +126,54 @@ void runSharedKernel(benchmark::State& state, hal::KernelVariant variant,
       fn(ctx, args);
     }
     benchmark::DoNotOptimize(f.dest.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * patterns * f.categories);
 }
 
 void BM_SharedKernelGpuStyle(benchmark::State& state) {
   runSharedKernel(state, hal::KernelVariant::GpuStyle,
-                  static_cast<int>(state.range(0)));
+                  static_cast<int>(state.range(0)), 4);
 }
 BENCHMARK(BM_SharedKernelGpuStyle)->Arg(8192);
 
+// Args: patterns, states. The 20- and 61-state points run the lane-parallel
+// generic-state path; 4 states runs the scalar nucleotide specialization.
 void BM_SharedKernelX86Style(benchmark::State& state) {
   runSharedKernel(state, hal::KernelVariant::X86Style,
-                  static_cast<int>(state.range(0)));
+                  static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
 }
-BENCHMARK(BM_SharedKernelX86Style)->Arg(8192);
+BENCHMARK(BM_SharedKernelX86Style)->Args({8192, 4})->Args({1024, 20})->Args({256, 61});
 
 void BM_TransitionMatrixKernel(benchmark::State& state) {
   const int s = static_cast<int>(state.range(0));
   const int categories = 4;
   AlignedVector<double> dest(static_cast<std::size_t>(categories) * s * s);
-  AlignedVector<double> cijk(static_cast<std::size_t>(s) * s * s, 0.01);
+  std::vector<double> evec(static_cast<std::size_t>(s) * s, 0.1);
+  std::vector<double> cijk;
+  kernels::packCijk(evec.data(), evec.data(), s, cijk);
   AlignedVector<double> eval(s, -1.0);
   AlignedVector<double> rates(categories, 1.0);
+  double length = 0.1;
+  std::int32_t matrixIndex = 0;
 
   hal::KernelSpec spec;
   spec.id = hal::KernelId::TransitionMatrices;
   spec.states = s;
   const hal::KernelFn fn = kernels::lookupKernel(spec);
 
+  // A batch of one edge: one launch, `categories` groups.
   hal::KernelArgs args;
   args.buffers[0] = dest.data();
   args.buffers[1] = cijk.data();
   args.buffers[2] = eval.data();
   args.buffers[3] = rates.data();
+  args.buffers[6] = &length;
+  args.buffers[7] = &matrixIndex;
   args.ints[0] = categories;
   args.ints[1] = s;
-  args.reals[0] = 0.1;
+  args.ints[2] = 1;
+  args.ints[3] = static_cast<std::int64_t>(dest.size());
 
   hal::WorkGroupCtx ctx;
   ctx.numGroups = categories;
@@ -171,6 +183,7 @@ void BM_TransitionMatrixKernel(benchmark::State& state) {
       fn(ctx, args);
     }
     benchmark::DoNotOptimize(dest.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TransitionMatrixKernel)->Arg(4)->Arg(20)->Arg(61);

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "api/implementation.h"
@@ -252,23 +253,13 @@ class AccelImpl : public Implementation {
       return BGL_ERROR_OUT_OF_RANGE;
     }
     const int s = config_.stateCount;
-    stagingReal_.resize(static_cast<std::size_t>(s) * s * s);
-    for (int i = 0; i < s; ++i) {
-      for (int j = 0; j < s; ++j) {
-        Real* out = stagingReal_.data() + (static_cast<std::size_t>(i) * s + j) * s;
-        for (int k = 0; k < s; ++k) {
-          out[k] = static_cast<Real>(evec[static_cast<std::size_t>(i) * s + k] *
-                                     ivec[static_cast<std::size_t>(k) * s + j]);
-        }
-      }
-    }
+    kernels::packCijk(evec, ivec, s, stagingReal_);
+    const std::size_t cijkBytes = stagingReal_.size() * sizeof(Real);
     if (cijk_[eigenIndex] == nullptr) {
-      cijk_[eigenIndex] =
-          device_->alloc(static_cast<std::size_t>(s) * s * s * sizeof(Real));
+      cijk_[eigenIndex] = device_->alloc(cijkBytes);
       eval_[eigenIndex] = device_->alloc(static_cast<std::size_t>(s) * sizeof(Real));
     }
-    device_->copyToDevice(*cijk_[eigenIndex], 0, stagingReal_.data(),
-                          static_cast<std::size_t>(s) * s * s * sizeof(Real));
+    device_->copyToDevice(*cijk_[eigenIndex], 0, stagingReal_.data(), cijkBytes);
     copyConverted(*eval_[eigenIndex], eval, s);
     return BGL_SUCCESS;
   }
@@ -288,9 +279,6 @@ class AccelImpl : public Implementation {
     recorder_.count(obs::Counter::kTransitionMatrices,
                     static_cast<std::uint64_t>(count));
     const bool derivs = d1Indices != nullptr;
-    const int s = config_.stateCount;
-    const int c = config_.categoryCount;
-
     for (int e = 0; e < count; ++e) {
       if (probIndices[e] < 0 || probIndices[e] >= config_.matrixBufferCount) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -302,19 +290,8 @@ class AccelImpl : public Implementation {
     }
     if (count <= 0) return BGL_SUCCESS;
 
-    hal::KernelSpec spec;
-    spec.id = derivs ? hal::KernelId::TransitionMatricesDerivs
-                     : hal::KernelId::TransitionMatrices;
-    spec.states = s;
-    spec.singlePrecision = std::is_same_v<Real, float>;
-    spec.variant = variant_;
-    spec.useFma = useFma_;
-    hal::Kernel* kernel = device_->getKernel(spec);
-
     // ONE launch computes all edges' matrices (with derivatives the index
-    // array carries three count-long sections: P, P', P''). The stage is a
-    // host-side keep-alive owned by the stream — no device staging copies,
-    // so on an async device the launch pipelines instead of flushing.
+    // array carries three count-long sections: P, P', P'').
     auto stage = std::make_shared<MatrixStage>();
     stage->lengths.resize(count);
     stage->indices.resize(static_cast<std::size_t>(derivs ? 3 * count : count));
@@ -326,58 +303,7 @@ class AccelImpl : public Implementation {
         stage->indices[static_cast<std::size_t>(2 * count) + e] = d2Indices[e];
       }
     }
-
-    hal::KernelArgs args;
-    args.buffers[0] = matrixAlloc_->data();
-    args.buffers[1] = cijk_[eigenIndex]->data();
-    args.buffers[2] = eval_[eigenIndex]->data();
-    args.buffers[3] = rates_[0]->data();
-    args.buffers[6] = stage->lengths.data();
-    args.buffers[7] = stage->indices.data();
-    args.ints[0] = c;
-    args.ints[1] = s;
-    args.ints[2] = count;
-    args.ints[3] = static_cast<std::int64_t>(matrixStride_ / sizeof(Real));
-
-    hal::LaunchDims dims;
-    dims.numGroups = count * c;
-    dims.groupSize = s * s;
-
-    perf::LaunchWork work;
-    work.flops = count * kernels::matrixFlops(c, s, derivs);
-    work.bytes = count * kernels::matrixBytes(c, s, sizeof(Real), derivs);
-    work.fmaFriendly = true;
-    work.doublePrecision = !spec.singlePrecision;
-    work.useFma = useFma_;
-    work.numGroups = dims.numGroups;
-
-    hal::LaunchOptions opts;
-    opts.keepAlive = stage;
-    if (pipeline_) {
-      // WAR fence: if the compute stream has un-drained reads of any target
-      // matrix, the matrix stream must wait for them before overwriting.
-      // In the steady pipelined cadence (disjoint matrix halves, a compute
-      // drain per round at the result readback) this never fires.
-      bool hazard = false;
-      for (std::size_t i = 0; i < stage->indices.size(); ++i) {
-        hazard = hazard || matrixReadByC_[stage->indices[i]] != 0;
-      }
-      if (hazard) {
-        device_->waitEvent(kMatrixStream, device_->recordEvent(kComputeStream));
-        std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
-      }
-      opts.stream = kMatrixStream;
-      device_->launch(*kernel, dims, args, work, opts);
-      // RAW edge for consumers: the next partials/edge batch that reads any
-      // of these matrices waits on this event (recorded after the launch,
-      // so it covers every matrix write enqueued so far).
-      for (std::size_t i = 0; i < stage->indices.size(); ++i) {
-        matrixDirty_[stage->indices[i]] = 1;
-      }
-      matricesReady_ = device_->recordEvent(kMatrixStream);
-      return BGL_SUCCESS;
-    }
-    device_->launch(*kernel, dims, args, work, opts);
+    enqueueMatrixBatch(eigenIndex, 0, std::move(stage), derivs);
     return BGL_SUCCESS;
   }
 
@@ -405,23 +331,26 @@ class AccelImpl : public Implementation {
                          "updateTransitionMatricesWithModels");
     recorder_.count(obs::Counter::kTransitionMatrices,
                     static_cast<std::uint64_t>(count));
-    std::vector<char> done(static_cast<std::size_t>(count), 0);
+    // One pass keyed by (eigen, rates). Groups launch in order of first
+    // appearance and keep their edges in call order, so the launch
+    // sequence matches a per-model rescan of the edge list.
+    struct Group {
+      int eigen, rates;
+      std::shared_ptr<MatrixStage> stage;
+    };
+    std::vector<Group> groups;
+    std::unordered_map<long long, std::size_t> groupOf;
     for (int e = 0; e < count; ++e) {
-      if (done[e]) continue;
       const int ei = eigenIndices[e];
       const int ri = ratesIndices != nullptr ? ratesIndices[e] : 0;
-      auto stage = std::make_shared<MatrixStage>();
-      for (int f = e; f < count; ++f) {
-        if (done[f] || eigenIndices[f] != ei ||
-            (ratesIndices != nullptr ? ratesIndices[f] : 0) != ri) {
-          continue;
-        }
-        done[f] = 1;
-        stage->lengths.push_back(static_cast<Real>(edgeLengths[f]));
-        stage->indices.push_back(probIndices[f]);
-      }
-      enqueueMatrixBatch(ei, ri, std::move(stage));
+      const auto [it, fresh] = groupOf.try_emplace(
+          static_cast<long long>(ei) * config_.eigenBufferCount + ri, groups.size());
+      if (fresh) groups.push_back({ei, ri, std::make_shared<MatrixStage>()});
+      MatrixStage& stage = *groups[it->second].stage;
+      stage.lengths.push_back(static_cast<Real>(edgeLengths[e]));
+      stage.indices.push_back(probIndices[e]);
     }
+    for (Group& g : groups) enqueueMatrixBatch(g.eigen, g.rates, std::move(g.stage));
     return BGL_SUCCESS;
   }
 
@@ -1359,15 +1288,17 @@ class AccelImpl : public Implementation {
   // single-partition path uses, so the per-pattern FP sequences coincide.
   // ------------------------------------------------------------------
 
-  /// One batched matrix launch for a (eigen, rates) model pair — the
-  /// non-derivative body of updateTransitionMatrices with per-slot model
-  /// inputs, including the pipelined-mode stream fencing.
+  /// One batched matrix launch for a (eigen, rates) model pair, including
+  /// the pipelined-mode stream fencing. The stage is a host-side
+  /// keep-alive owned by the stream — no device staging copies, so on an
+  /// async device the launch pipelines instead of flushing.
   void enqueueMatrixBatch(int eigenIndex, int ratesIndex,
-                          std::shared_ptr<MatrixStage> stage) {
+                          std::shared_ptr<MatrixStage> stage, bool derivs = false) {
     const int s = config_.stateCount;
     const int c = config_.categoryCount;
-    const int n = static_cast<int>(stage->indices.size());
-    hal::KernelSpec spec = baseSpec(hal::KernelId::TransitionMatrices);
+    const int n = static_cast<int>(stage->lengths.size());
+    hal::KernelSpec spec = baseSpec(derivs ? hal::KernelId::TransitionMatricesDerivs
+                                           : hal::KernelId::TransitionMatrices);
     hal::Kernel* kernel = device_->getKernel(spec);
 
     hal::KernelArgs args;
@@ -1387,8 +1318,8 @@ class AccelImpl : public Implementation {
     dims.groupSize = s * s;
 
     perf::LaunchWork work;
-    work.flops = n * kernels::matrixFlops(c, s, /*derivs=*/false);
-    work.bytes = n * kernels::matrixBytes(c, s, sizeof(Real), /*derivs=*/false);
+    work.flops = n * kernels::matrixFlops(c, s, derivs);
+    work.bytes = n * kernels::matrixBytes(c, s, sizeof(Real), derivs);
     work.fmaFriendly = true;
     work.doublePrecision = !spec.singlePrecision;
     work.useFma = useFma_;
@@ -1397,6 +1328,10 @@ class AccelImpl : public Implementation {
     hal::LaunchOptions opts;
     opts.keepAlive = stage;
     if (pipeline_) {
+      // WAR fence: if the compute stream has un-drained reads of any target
+      // matrix, the matrix stream must wait for them before overwriting.
+      // In the steady pipelined cadence (disjoint matrix halves, a compute
+      // drain per round at the result readback) this never fires.
       bool hazard = false;
       for (std::size_t i = 0; i < stage->indices.size(); ++i) {
         hazard = hazard || matrixReadByC_[stage->indices[i]] != 0;
@@ -1407,6 +1342,9 @@ class AccelImpl : public Implementation {
       }
       opts.stream = kMatrixStream;
       device_->launch(*kernel, dims, args, work, opts);
+      // RAW edge for consumers: the next partials/edge batch that reads any
+      // of these matrices waits on this event (recorded after the launch,
+      // so it covers every matrix write enqueued so far).
       for (std::size_t i = 0; i < stage->indices.size(); ++i) {
         matrixDirty_[stage->indices[i]] = 1;
       }

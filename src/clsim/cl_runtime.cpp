@@ -131,6 +131,7 @@ class ClDevice final : public hal::Device {
     }
     const int idx = clampStream(stream);
     streams_[idx].stream->flush();  // drain only the owning queue
+    publishPendingDepth();
     fault::Injector::instance().onMemcpy("opencl", bytes);
     const auto t0 = Clock::now();
     std::memcpy(dst, static_cast<const std::byte*>(src.data()) + srcOffset, bytes);
@@ -204,7 +205,7 @@ class ClDevice final : public hal::Device {
         // Exported gauge: queue depth the API thread observed right after
         // this enqueue, summed across queues (high-water kept by the
         // recorder).
-        recorder_->setGauge(obs::Gauge::kPendingDepth, totalPendingDepth());
+        publishPendingDepth();
         if (timing) {
           obs::TraceEvent ev;
           ev.category = obs::Category::kEnqueue;
@@ -367,6 +368,7 @@ class ClDevice final : public hal::Device {
         if (!first) first = std::current_exception();
       }
     }
+    publishPendingDepth();
     if (first) std::rethrow_exception(first);
   }
 
@@ -374,6 +376,16 @@ class ClDevice final : public hal::Device {
     std::size_t total = 0;
     for (const auto& slot : streams_) total += slot.stream->pendingDepth();
     return total;
+  }
+
+  /// Export the summed queue depth. Set at every enqueue AND after every
+  /// drain: a gauge refreshed only at enqueue would leave an idle instance
+  /// reporting its last depth forever, and serve admission sums these
+  /// levels against maxPendingDepth.
+  void publishPendingDepth() {
+    if (recorder_ != nullptr) {
+      recorder_->setGauge(obs::Gauge::kPendingDepth, totalPendingDepth());
+    }
   }
 
   /// Full-flush copy: a global sync point — every queue clock advances to

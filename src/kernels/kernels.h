@@ -13,7 +13,8 @@
 //    staged into local memory per work-group before the compute phase.
 //  * X86Style — one work-item per pattern, looping over the state space,
 //    no explicit local-memory staging (the cache hierarchy serves reuse),
-//    and much larger work-groups (Table V tunes this size).
+//    and much larger work-groups (Table V tunes this size). For generic
+//    state counts each SIMD lane owns one output state (kernels_impl.h).
 //
 // Argument slot layout per kernel (buffers `b`, ints `i`, reals `r`):
 //
@@ -32,17 +33,17 @@
 //    patternBlocks}; each op spans patternBlocks * categories groups
 //    starting at its groupOffset and computes only its pattern range.
 //
-//  TransitionMatrices / TransitionMatricesDerivs
-//    b0 dest P  [C][S][S]       (derivs: b4 dest P', b5 dest P'')
-//    b1 Cijk    [S][S][S]  (evec[i][k] * ivec[k][j])
+//  TransitionMatrices / TransitionMatricesDerivs (one launch per edge batch)
+//    b0 matrix pool base; each edge writes P [C][S][S] at its index
+//    b1 Cijk    [i][k][jpad] = evec[i][k] * ivec[k][j], j zero-padded to
+//       jpad = paddedStates(S) (packCijk)
 //    b2 eigenvalues [S]
 //    b3 category rates [C]
-//    i0 categories  i1 states  r0 edge length
-//    Edge batch (i2 = edge count > 0): b0 is the matrix pool base, b6 the
-//    per-edge lengths (Real[count]), b7 int32 matrix-pool indices with
-//    stride i3 reals; grid = count * categories. For derivs the index
-//    array has three count-long sections (P, P', P'') and b4/b5 are
-//    ignored.
+//    b6 per-edge lengths (Real[count])
+//    b7 int32 matrix-pool indices, stride i3 reals; for derivs three
+//       count-long sections (P, P', P'')
+//    i0 categories  i1 states  i2 edge count  i3 matrix stride
+//    grid = count * categories
 //
 //  RootLikelihood
 //    b0 root partials [C][P][S]
@@ -99,9 +100,40 @@
 //    per-partition buffer's bracketing exactly.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "hal/hal.h"
 
 namespace bgl::kernels {
+
+/// SIMD lane count of the matrix and x86-style partials kernels: one lane
+/// per output value, so padded axes round up to a multiple of it.
+inline constexpr int kLanes = 4;
+
+/// `states` rounded up to a whole number of lane vectors (4 stays 4).
+constexpr int paddedStates(int states) {
+  return (states + kLanes - 1) / kLanes * kLanes;
+}
+
+/// Pack Cijk = evec[i][k] * ivec[k][j] (rounded to Real) into the layout
+/// the TransitionMatrices kernels read: [i][k][jpad], j zero-padded to
+/// paddedStates(states). The one definition of that layout, shared by the
+/// accelerator upload and the kernel tests.
+template <typename Real>
+void packCijk(const double* evec, const double* ivec, int states,
+              std::vector<Real>& out) {
+  const auto s = static_cast<std::size_t>(states);
+  const auto jpad = static_cast<std::size_t>(paddedStates(states));
+  out.assign(s * s * jpad, Real(0));
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t k = 0; k < s; ++k) {
+      for (std::size_t j = 0; j < s; ++j) {
+        out[(i * s + k) * jpad + j] = static_cast<Real>(evec[i * s + k] * ivec[k * s + j]);
+      }
+    }
+  }
+}
 
 /// Resolve the kernel function for a spec; throws bgl::Error for
 /// unsupported combinations. Both framework runtimes use this — the code

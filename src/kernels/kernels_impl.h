@@ -4,15 +4,18 @@
 // execute. Work-groups map onto the problem as a 1-D grid:
 //   partials kernels:  group = (pattern block, category)
 //   integrate kernels: group = pattern block (categories looped inside)
-//   matrix kernels:    group = category
+//   matrix kernels:    group = (edge, category)
 // A kernel function runs one whole work-group; phases that would be
 // separated by barriers on a GPU appear as consecutive loops.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "hal/hal.h"
+#include "kernels/kernels.h"
 
 namespace bgl::kernels::detail {
 
@@ -20,24 +23,136 @@ using hal::KernelArgs;
 using hal::KernelVariant;
 using hal::WorkGroupCtx;
 
+constexpr int kMaxStates = 64;
+
+/// Optimization barrier on a rounded product: with -ffp-contract the
+/// compiler would otherwise fuse it into the following add.
+template <typename T>
+inline void keepRounded(T& product) {
+#if defined(__x86_64__) || defined(_M_X64)
+#if defined(__AVX__)
+  constexpr bool kOneRegister = true;
+#else
+  // Without AVX there is no FMA instruction to fuse into, and a 32-byte
+  // lane vector has no single register to pin.
+  constexpr bool kOneRegister = sizeof(T) <= 16;
+#endif
+  if constexpr (kOneRegister) asm volatile("" : "+x"(product));
+#else
+  if constexpr (sizeof(T) > sizeof(double)) {
+    asm volatile("" : "+m"(product));
+  } else {
+    asm volatile("" : "+r"(product));
+  }
+#endif
+}
+
 /// Fused or split multiply-add, matching the FP_FAST_FMA toggle the paper
-/// flips for AMD devices (Section VII-B1). The non-FMA path inserts an
-/// optimization barrier between the multiply and the add: with
-/// -ffp-contract the compiler would otherwise fuse them anyway, making the
-/// toggle a no-op on FMA-capable hosts.
+/// flips for AMD devices (Section VII-B1). The non-FMA path keeps the
+/// product rounded before the add, so the toggle is not a no-op on
+/// FMA-capable hosts.
 template <typename Real, bool UseFma>
 inline Real madd(Real a, Real b, Real c) {
   if constexpr (UseFma) {
     return a * b + c;  // contraction allowed: compiles to one FMA
   } else {
     Real product = a * b;
-#if defined(__x86_64__) || defined(_M_X64)
-    asm volatile("" : "+x"(product));
-#else
-    asm volatile("" : "+r"(product));
-#endif
+    keepRounded(product);
     return product + c;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-parallel dot products: the SIMD core of the transition-matrix and
+// x86-style generic-state partials kernels. Each lane owns one output value
+// and performs exactly the scalar sequence that value had before: products
+// rounded, then added in ascending reduction order. The GCC/Clang vector
+// extension is lane-wise IEEE arithmetic, so only the schedule changes —
+// kLanes independent add chains instead of one.
+// ---------------------------------------------------------------------------
+
+template <typename Real>
+struct LaneVec;
+template <>
+struct LaneVec<double> {
+  typedef double type __attribute__((vector_size(kLanes * sizeof(double))));
+};
+template <>
+struct LaneVec<float> {
+  typedef float type __attribute__((vector_size(kLanes * sizeof(float))));
+};
+
+/// out[l] = sum over r < n of a[r * stride + l] * coef[r] (unfused, r
+/// ascending) for the B * kLanes lanes starting at a. With Derivs, also
+/// out1/out2 = sum of round(a * coef) * lam1[r] / lam2[r]: the transition
+/// matrix's first and second derivative sums.
+template <typename Real, int B, bool Derivs>
+inline void laneDotBlock(const Real* a, std::size_t stride, const Real* coef,
+                         const Real* lam1, const Real* lam2, int n, Real* out,
+                         Real* out1, Real* out2) {
+  static_assert(kLanes == 4, "splat below spells out four lanes");
+  using V = typename LaneVec<Real>::type;
+  V acc[B] = {}, acc1[B] = {}, acc2[B] = {};
+  for (int r = 0; r < n; ++r) {
+    const Real* ar = a + static_cast<std::size_t>(r) * stride;
+    const V c = {coef[r], coef[r], coef[r], coef[r]};
+    for (int b = 0; b < B; ++b) {
+      V e;
+      std::memcpy(&e, ar + b * kLanes, sizeof e);
+      e *= c;
+      keepRounded(e);
+      acc[b] = e + acc[b];
+      if constexpr (Derivs) {
+        V e1 = e * V{lam1[r], lam1[r], lam1[r], lam1[r]};
+        V e2 = e * V{lam2[r], lam2[r], lam2[r], lam2[r]};
+        keepRounded(e1);
+        keepRounded(e2);
+        acc1[b] = e1 + acc1[b];
+        acc2[b] = e2 + acc2[b];
+      }
+    }
+  }
+  for (int b = 0; b < B; ++b) {
+    std::memcpy(out + b * kLanes, &acc[b], sizeof(V));
+    if constexpr (Derivs) {
+      std::memcpy(out1 + b * kLanes, &acc1[b], sizeof(V));
+      std::memcpy(out2 + b * kLanes, &acc2[b], sizeof(V));
+    }
+  }
+}
+
+/// laneDotBlock for the final `rem` < B vectors of a row.
+template <typename Real, bool Derivs, int B>
+inline void laneDotRemainder(int rem, const Real* a, std::size_t stride,
+                             const Real* coef, const Real* lam1, const Real* lam2,
+                             int n, Real* out, Real* out1, Real* out2) {
+  if constexpr (B > 0) {
+    if (rem == B) {
+      laneDotBlock<Real, B, Derivs>(a, stride, coef, lam1, lam2, n, out, out1, out2);
+    } else {
+      laneDotRemainder<Real, Derivs, B - 1>(rem, a, stride, coef, lam1, lam2, n, out,
+                                           out1, out2);
+    }
+  }
+}
+
+/// laneDotBlock over `nvec` lane vectors, four at a time: enough
+/// independent add chains to hide the add latency.
+template <typename Real, bool Derivs = false>
+inline void laneDot(const Real* a, std::size_t stride, const Real* coef, int n,
+                    int nvec, Real* out, const Real* lam1 = nullptr,
+                    const Real* lam2 = nullptr, Real* out1 = nullptr,
+                    Real* out2 = nullptr) {
+  constexpr int B = 4;
+  int o = 0;
+  for (; o + B * kLanes <= nvec * kLanes; o += B * kLanes) {
+    laneDotBlock<Real, B, Derivs>(a + o, stride, coef, lam1, lam2, n, out + o,
+                                  Derivs ? out1 + o : nullptr,
+                                  Derivs ? out2 + o : nullptr);
+  }
+  laneDotRemainder<Real, Derivs, B - 1>(nvec - o / kLanes, a + o, stride, coef, lam1,
+                                        lam2, n, out + o, Derivs ? out1 + o : nullptr,
+                                        Derivs ? out2 + o : nullptr);
 }
 
 template <int StatesT>
@@ -231,6 +346,49 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   // x86-style execution: one work-item per pattern, looping over the state
   // space with no explicit local memory (Section VII-B2's key change: more
   // work per item, let the cache hierarchy serve reuse).
+  if constexpr (Variant == KernelVariant::X86Style && StatesT == 0) {
+    // Generic state counts: the group stages its category's two matrices
+    // transposed, [j][ipad] zero-padded, so lane i of a vector holds
+    // M[i][j]. Each pattern then accumulates every output i at once in one
+    // j-ascending pass — per output the same rounded products and adds as
+    // the scalar dot product — and a tip's column M[.][s] is one staged row.
+    // Products round before the add under both FMA settings.
+    const int spad = paddedStates(states);
+    alignas(32) Real mt1[kMaxStates * kMaxStates];
+    alignas(32) Real mt2[kMaxStates * kMaxStates];
+    alignas(32) Real sum1[kMaxStates], sum2[kMaxStates], ones[kMaxStates];
+    for (int j = 0; j < states; ++j) {
+      for (int i = 0; i < spad; ++i) {
+        const bool in = i < states;
+        mt1[j * spad + i] = in ? m1[static_cast<std::size_t>(i) * states + j] : Real(0);
+        mt2[j * spad + i] = in ? m2[static_cast<std::size_t>(i) * states + j] : Real(0);
+      }
+    }
+    std::fill(ones, ones + spad, Real(1));
+    for (int k = kBegin; k < kEnd; ++k) {
+      const std::size_t row = planeOffset + static_cast<std::size_t>(k) * states;
+      const Real* r1 = sum1;
+      const Real* r2 = sum2;
+      if constexpr (Child1 == ChildKind::Partials) {
+        laneDot(mt1, spad, static_cast<const Real*>(child1) + row, states,
+                spad / kLanes, sum1);
+      } else {
+        const int s1 = static_cast<const std::int32_t*>(child1)[k];
+        r1 = s1 < states ? mt1 + s1 * spad : ones;
+      }
+      if constexpr (Child2 == ChildKind::Partials) {
+        laneDot(mt2, spad, static_cast<const Real*>(child2) + row, states,
+                spad / kLanes, sum2);
+      } else {
+        const int s2 = static_cast<const std::int32_t*>(child2)[k];
+        r2 = s2 < states ? mt2 + s2 * spad : ones;
+      }
+      for (int i = 0; i < states; ++i) dest[row + i] = r1[i] * r2[i];
+    }
+    return;
+  }
+  // The 4-state specialization keeps its scalar loop: under UseFma the
+  // compiler contracts it into FMAs, and the parity suites pin those bits.
   for (int k = kBegin; k < kEnd; ++k) {
     const std::size_t row = planeOffset + static_cast<std::size_t>(k) * states;
     const Real* p1 = nullptr;
@@ -273,63 +431,43 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
 
 template <typename Real, int StatesT, bool UseFma, bool WithDerivs>
 void transitionMatrixKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
-  // This kernel's slot layout carries the state count in ints[1]. The
-  // non-derivative form is batched: one launch covers `count` edges
-  // (ints[2] > 0), with per-edge lengths in buffers[6] and destination
-  // matrix-buffer indices in buffers[7] (stride ints[3] reals) — a single
-  // kernel launch per updateTransitionMatrices call, which keeps
-  // launch-overhead-dominated devices viable.
+  // One launch covers a batch of `count` edges (ints[2]) with per-edge
+  // lengths in buffers[6] and destination matrix-pool indices in
+  // buffers[7] (stride ints[3] reals) — a single kernel launch per
+  // updateTransitionMatrices call, which keeps launch-overhead-dominated
+  // devices viable. The state count is in ints[1].
   const int states = (StatesT > 0) ? StatesT : static_cast<int>(args.ints[1]);
   const int categories = static_cast<int>(args.ints[0]);
   const int batchCount = static_cast<int>(args.ints[2]);
-
-  int c = wg.groupId;
-  double t = args.reals[0];
-  Real* BGL_RESTRICT dest = static_cast<Real*>(args.buffers[0]);
-  Real* d1base = nullptr;
-  Real* d2base = nullptr;
+  const int edge = wg.groupId / categories;
+  if (edge >= batchCount) return;
+  const int c = wg.groupId % categories;
+  const auto* lengths = static_cast<const Real*>(args.buffers[6]);
+  const auto* indices = static_cast<const std::int32_t*>(args.buffers[7]);
+  const double t = static_cast<double>(lengths[edge]);
+  const std::size_t stride = static_cast<std::size_t>(args.ints[3]);
+  const std::size_t matStride = static_cast<std::size_t>(states) * states;
+  Real* const pool = static_cast<Real*>(args.buffers[0]);
+  Real* p = pool + static_cast<std::size_t>(indices[edge]) * stride + c * matStride;
+  Real* d1 = nullptr;
+  Real* d2 = nullptr;
   if constexpr (WithDerivs) {
-    d1base = static_cast<Real*>(args.buffers[4]);
-    d2base = static_cast<Real*>(args.buffers[5]);
-  }
-  if (batchCount > 0) {
-    const int edge = wg.groupId / categories;
-    if (edge >= batchCount) return;
-    c = wg.groupId % categories;
-    const auto* lengths = static_cast<const Real*>(args.buffers[6]);
-    const auto* indices = static_cast<const std::int32_t*>(args.buffers[7]);
-    t = static_cast<double>(lengths[edge]);
-    const std::size_t stride = static_cast<std::size_t>(args.ints[3]);
-    if constexpr (WithDerivs) {
-      // Derivative batch: indices carries three count-long sections —
-      // probability, d1 and d2 matrix-buffer indices — all offsets into
-      // the matrix pool at buffers[0].
-      d1base = dest + static_cast<std::size_t>(indices[batchCount + edge]) * stride;
-      d2base = dest + static_cast<std::size_t>(indices[2 * batchCount + edge]) * stride;
-    }
-    dest += static_cast<std::size_t>(indices[edge]) * stride;
+    // Derivative batch: indices carries three count-long sections —
+    // probability, d1 and d2 matrix-pool indices.
+    d1 = pool + static_cast<std::size_t>(indices[batchCount + edge]) * stride + c * matStride;
+    d2 = pool + static_cast<std::size_t>(indices[2 * batchCount + edge]) * stride +
+         c * matStride;
   }
 
   const Real* BGL_RESTRICT cijk = static_cast<const Real*>(args.buffers[1]);
   const Real* BGL_RESTRICT eval = static_cast<const Real*>(args.buffers[2]);
   const Real* BGL_RESTRICT rates = static_cast<const Real*>(args.buffers[3]);
 
-  const std::size_t matStride = static_cast<std::size_t>(states) * states;
-  Real* p = dest + static_cast<std::size_t>(c) * matStride;
-
-  Real* d1 = nullptr;
-  Real* d2 = nullptr;
-  if constexpr (WithDerivs) {
-    d1 = d1base + static_cast<std::size_t>(c) * matStride;
-    d2 = d2base + static_cast<std::size_t>(c) * matStride;
-  }
-
   // exp(lambda_k * r_c * t) per eigenvalue, staged on the stack (the GPU
   // kernel stages this in local memory). The association must be
   // exp((lambda_k * r_c) * t), matching the host-CPU implementations: any
   // other grouping rounds differently for some (eigenvalue, rate, length)
   // triples and breaks the cross-implementation bitwise-logL contract.
-  constexpr int kMaxStates = 64;
   Real expl[kMaxStates];
   Real lam1[kMaxStates];
   Real lam2[kMaxStates];
@@ -341,32 +479,25 @@ void transitionMatrixKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
       lam2[k] = static_cast<Real>(lam * lam);
     }
   }
-  (void)lam1;
-  (void)lam2;
 
+  // Row i of Cijk is [k][jpad]: lane j of each vector accumulates P[i][j]
+  // over k ascending. The dot products are unfused regardless of the
+  // UseFma toggle: the host-CPU reference computes `v = ck*expl;
+  // sum += v` with `v` reused for the derivative sums, which no compiler
+  // contracts into an FMA. Fusing here would put every accelerator matrix
+  // one ulp away from the reference and break the cross-implementation
+  // bitwise-logL contract.
+  const int jpad = paddedStates(states);
+  alignas(32) Real row[kMaxStates], row1[kMaxStates], row2[kMaxStates];
   for (int i = 0; i < states; ++i) {
-    for (int j = 0; j < states; ++j) {
-      const Real* ck = cijk + (static_cast<std::size_t>(i) * states + j) * states;
-      // The P(t) dot product is accumulated with the NON-fused madd
-      // regardless of the UseFma toggle: the host-CPU reference computes
-      // `v = ck*expl; sum += v` with `v` reused for the derivative sums,
-      // which no compiler contracts into an FMA. Fusing here would put
-      // every accelerator matrix one ulp away from the reference and break
-      // the cross-implementation bitwise-logL contract.
-      Real sum = Real(0);
-      for (int k = 0; k < states; ++k) sum = madd<Real, false>(ck[k], expl[k], sum);
-      // Tiny negative values from round-off would poison log() later.
-      p[static_cast<std::size_t>(i) * states + j] = sum > Real(0) ? sum : Real(0);
-      if constexpr (WithDerivs) {
-        Real sum1 = Real(0), sum2 = Real(0);
-        for (int k = 0; k < states; ++k) {
-          const Real e = ck[k] * expl[k];
-          sum1 = madd<Real, false>(e, lam1[k], sum1);
-          sum2 = madd<Real, false>(e, lam2[k], sum2);
-        }
-        d1[static_cast<std::size_t>(i) * states + j] = sum1;
-        d2[static_cast<std::size_t>(i) * states + j] = sum2;
-      }
+    const Real* ci = cijk + static_cast<std::size_t>(i) * states * jpad;
+    laneDot<Real, WithDerivs>(ci, jpad, expl, states, jpad / kLanes, row, lam1, lam2,
+                              row1, row2);
+    // Tiny negative values from round-off would poison log() later.
+    for (int j = 0; j < states; ++j) p[i * states + j] = row[j] > Real(0) ? row[j] : Real(0);
+    if constexpr (WithDerivs) {
+      std::memcpy(d1 + i * states, row1, states * sizeof(Real));
+      std::memcpy(d2 + i * states, row2, states * sizeof(Real));
     }
   }
 }

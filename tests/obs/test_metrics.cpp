@@ -182,6 +182,29 @@ TEST(ObsProcessStatistics, AggregateMatchesSumOfInstancesAcrossFamilies) {
   EXPECT_EQ(delta(&BglStatistics::kernelLaunches), sum.kernelLaunches);
 }
 
+TEST(ObsProcessStatistics, IdleAsyncInstancesReportZeroPendingDepth) {
+  // The pending-depth gauge is a level, not a high-water mark: once an
+  // instance's streams drain (here at the root readback) it must read 0
+  // again. A gauge refreshed only at enqueue would leave each idle instance
+  // at its last queue depth, and the process sum would grow with the
+  // number of idle instances.
+  auto problem = test::makeNucleotideProblem(/*taxa=*/10, /*sites=*/64, 812);
+  std::vector<std::unique_ptr<phylo::TreeLikelihood>> likes;
+  for (int i = 0; i < 6; ++i) {
+    phylo::LikelihoodOptions opts;
+    opts.categories = 2;
+    opts.requirementFlags = BGL_FLAG_FRAMEWORK_CUDA | BGL_FLAG_COMPUTATION_ASYNCH;
+    opts.resources = {perf::kQuadroP5000};
+    likes.push_back(std::make_unique<phylo::TreeLikelihood>(
+        problem.tree, *problem.model, problem.data, opts));
+    likes.back()->logLikelihood();
+  }
+  BglProcessStatistics now{};
+  ASSERT_EQ(bglGetProcessStatistics(&now), BGL_SUCCESS);
+  EXPECT_GT(now.pendingDepthMax, 0u);  // the streams did queue work
+  EXPECT_EQ(now.pendingDepth, 0u);
+}
+
 // ------------------------------------------------- metrics service (JSONL)
 
 std::vector<std::string> readLines(const std::string& path) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "perfmodel/device_profiles.h"
 #include "serve/admission.h"
 #include "serve/pool.h"
 #include "tests/serve/serve_test_util.h"
@@ -247,6 +248,27 @@ TEST_F(ServePool, BackpressureRejectionPath) {
   EXPECT_NE(reason.find("backpressure"), std::string::npos);
   EXPECT_EQ(controller.counters().rejectedBackpressure, 1u);
   EXPECT_EQ(controller.liveSessions(), 0);
+}
+
+TEST_F(ServePool, IdlePooledAcceleratorInstancesDoNotTriggerBackpressure) {
+  // Regression: backpressure sums the pending-depth gauges of live
+  // instances. Those gauges used to be set only at enqueue, so every idle
+  // pooled instance kept its last depth (about 13 launches here) and, under
+  // default limits, opens on the simulated Quadro were refused from roughly
+  // the 317th session on. Each session grows past the 8-tip bucket, so its
+  // instance returns to a free list no later open matches: idle instances
+  // accumulate for the whole loop.
+  const auto before = stats();
+  for (int i = 0; i < 400; ++i) {
+    const int s = bglSessionOpen("burst", 4, 32, 2, perf::kQuadroP5000, 0, 0);
+    ASSERT_GE(s, 0) << "session " << i << ": " << bglGetLastErrorMessage();
+    ASSERT_EQ(setDefaultModel(s, 4, 2, 11), BGL_SUCCESS);
+    ASSERT_EQ(addRandomTaxa(s, 10, 32, 4, 100 + i), BGL_SUCCESS);
+    double logL = 0.0;
+    ASSERT_EQ(bglSessionLogLikelihood(s, &logL), BGL_SUCCESS);
+    ASSERT_EQ(bglSessionClose(s), BGL_SUCCESS);
+  }
+  EXPECT_EQ(stats().rejectedBackpressure, before.rejectedBackpressure);
 }
 
 TEST_F(ServePool, RejectedTenantLeavesNoQuotaEntry) {
