@@ -101,16 +101,19 @@ void runSharedKernel(benchmark::State& state, hal::KernelVariant variant,
 
   const int ppg = variant == hal::KernelVariant::X86Style ? 256 : 64;
   const int patternBlocks = (patterns + ppg - 1) / ppg;
+  // One operation over the whole pattern axis: a one-entry op table and
+  // range table.
+  const void* table[5] = {f.dest.data(), f.p1.data(), f.m1.data(), f.p2.data(),
+                          f.m2.data()};
+  std::int32_t ranges[4] = {0, patterns, 0, patternBlocks};
   hal::KernelArgs args;
-  args.buffers[0] = f.dest.data();
-  args.buffers[1] = f.p1.data();
-  args.buffers[2] = f.m1.data();
-  args.buffers[3] = f.p2.data();
-  args.buffers[4] = f.m2.data();
+  args.buffers[5] = table;
+  args.buffers[6] = ranges;
   args.ints[0] = patterns;
   args.ints[1] = f.categories;
   args.ints[2] = states;
   args.ints[3] = ppg;
+  args.ints[4] = 1;
 
   // GPU-style groups stage matrices plus a 2 x ppg x states partials block.
   std::vector<std::byte> localMem(kernels::gpuStyleLocalMemBytes(states, false) +

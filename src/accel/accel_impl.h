@@ -36,8 +36,7 @@ template <RealScalar Real>
 class AccelImpl : public Implementation {
  public:
   AccelImpl(const InstanceConfig& cfg, hal::DevicePtr device)
-      : device_(std::move(device)) {
-    config_ = cfg;
+      : Implementation(cfg), device_(std::move(device)) {
     // The runtime emits kernel-launch and memcpy events (with device and
     // framework metadata) into this instance's recorder.
     device_->setRecorder(&recorder_);
@@ -111,7 +110,6 @@ class AccelImpl : public Implementation {
       device_->copyToDevice(*rates_[i], 0, stagingReal_.data(),
                             stagingReal_.size() * sizeof(Real));
     }
-    partEnd_.assign(1, c.patternCount);
     patternWeights_ = device_->alloc(static_cast<std::size_t>(c.patternCount) * sizeof(Real));
     {
       stagingReal_.assign(c.patternCount, Real(1));
@@ -125,7 +123,8 @@ class AccelImpl : public Implementation {
         device_->alloc(static_cast<std::size_t>(reduceBlocks()) * sizeof(double));
     // Double-buffered result staging: consecutive root/edge evaluations
     // alternate buffers so a readback of round N never has to wait for
-    // round N+1's reductions (pipelined mode; one buffer otherwise).
+    // round N+1's reductions (pipelined mode; otherwise both parities
+    // alias one buffer).
     resultBuf_[0] =
         device_->alloc(static_cast<std::size_t>(resultSlots_) * sizeof(double));
     resultBuf_[1] =
@@ -378,86 +377,16 @@ class AccelImpl : public Implementation {
 
   // ------------------------------------------------------------------
 
-  int updatePartials(const BglOperation* operations, int count,
-                     int cumulativeScaleIndex) override {
-    // SCALING_ALWAYS: see the flag's documentation — the library assigns
-    // per-operation scale buffers and maintains the final buffer as the
-    // cumulative one across each batch.
-    std::vector<BglOperation> rewritten;
-    if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) && config_.scaleBufferCount > 0) {
-      rewritten.assign(operations, operations + count);
-      for (auto& op : rewritten) {
-        if (op.destinationScaleWrite == BGL_OP_NONE) {
-          op.destinationScaleWrite = op.destinationPartials - config_.tipCount;
-        }
-      }
-      operations = rewritten.data();
-      cumulativeScaleIndex = autoCumulativeIndex();
-      const int rc = resetScaleFactors(cumulativeScaleIndex);
-      if (rc != BGL_SUCCESS) return rc;
-    }
-    if (cumulativeScaleIndex != BGL_OP_NONE && !validScale(cumulativeScaleIndex)) {
-      return BGL_ERROR_OUT_OF_RANGE;
-    }
-    obs::ScopedSpan span(recorder_, obs::Category::kUpdatePartials,
-                         "updatePartials");
-    recorder_.count(obs::Counter::kPartialsOperations,
-                    static_cast<std::uint64_t>(count));
-    if (pipeline_) {
-      // RAW fence: if any matrix this batch reads is still in flight on the
-      // matrix stream, the compute stream waits for the matrices-ready
-      // event before the batch's first launch. Out-of-range indices are
-      // skipped here; validation below still rejects the batch.
-      matrixReadScratch_.clear();
-      for (int i = 0; i < count; ++i) {
-        matrixReadScratch_.push_back(operations[i].child1TransitionMatrix);
-        matrixReadScratch_.push_back(operations[i].child2TransitionMatrix);
-      }
-      fenceAndMarkMatrixReads(matrixReadScratch_.data(),
-                              matrixReadScratch_.size());
-    }
-    // Deferred accumulation needs every scale target written at most once
-    // per batch (levelize.h); repeated targets take the per-op path, which
-    // is the definition of the expected bit pattern anyway.
-    if (!async_ || !scaleWritesUnique(operations, count)) {
-      for (int i = 0; i < count; ++i) {
-        const int rc = executeOperation(operations[i], cumulativeScaleIndex);
-        if (rc != BGL_SUCCESS) return rc;
-      }
-      return BGL_SUCCESS;
-    }
-    return executeLevelized(operations, count, cumulativeScaleIndex);
-  }
-
-  /// Multi-partition mode: the pattern axis is a concatenation of
-  /// partitions; the (validated, contiguous, non-decreasing) map is
-  /// converted to per-partition [begin, end) ranges. Buffers stay shared —
-  /// partitions touch disjoint pattern ranges of them.
-  int setPatternPartitions(int partitionCount,
-                           const int* inPatternPartitions) override {
-    if (partitionCount < 1) return BGL_ERROR_OUT_OF_RANGE;
-    if (partitionCount == 1) {
-      partitionCount_ = 1;
-      partBegin_.assign(1, 0);
-      partEnd_.assign(1, config_.patternCount);
-      return BGL_SUCCESS;
-    }
-    partBegin_.assign(static_cast<std::size_t>(partitionCount), 0);
-    partEnd_.assign(static_cast<std::size_t>(partitionCount), 0);
-    for (int k = 0; k < config_.patternCount; ++k) {
-      const int q = inPatternPartitions[k];
-      if (partEnd_[q] == 0) partBegin_[q] = k;
-      partEnd_[q] = k + 1;
-    }
-    partitionCount_ = partitionCount;
-    return BGL_SUCCESS;
-  }
-
+  /// The one partials-update path. Partitions occupy disjoint [begin, end)
+  /// ranges of the concatenated pattern axis and share every node-indexed
+  /// buffer; a partition-blind batch is one on the whole-axis slot.
   int updatePartialsByPartition(const BglOperationByPartition* operations,
                                 int count, int cumulativeScaleIndex) override {
-    // SCALING_ALWAYS: same rewrite as the single-partition path. Partitions
-    // share per-node scale buffers over disjoint pattern ranges, so ONE
-    // reset of the cumulative buffer covers every partition in the batch.
+    // SCALING_ALWAYS: see the flag's documentation — the library assigns
+    // per-operation scale buffers and maintains the final buffer as the
+    // cumulative one across each batch. Partitions share per-node scale
+    // buffers over disjoint pattern ranges, so ONE reset of the cumulative
+    // buffer covers every partition in the batch.
     std::vector<BglOperationByPartition> rewritten;
     if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) && config_.scaleBufferCount > 0) {
       rewritten.assign(operations, operations + count);
@@ -479,6 +408,10 @@ class AccelImpl : public Implementation {
     recorder_.count(obs::Counter::kPartialsOperations,
                     static_cast<std::uint64_t>(count));
     if (pipeline_) {
+      // RAW fence: if any matrix this batch reads is still in flight on the
+      // matrix stream, the compute stream waits for the matrices-ready
+      // event before the batch's first launch. Out-of-range indices are
+      // skipped here; validation below still rejects the batch.
       matrixReadScratch_.clear();
       for (int i = 0; i < count; ++i) {
         matrixReadScratch_.push_back(operations[i].child1TransitionMatrix);
@@ -492,9 +425,7 @@ class AccelImpl : public Implementation {
     const auto& c = config_;
     for (int i = 0; i < count; ++i) {
       const auto& op = operations[i];
-      if (op.partition < 0 || op.partition >= partitionCount_) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
+      if (!validSlot(op.partition)) return BGL_ERROR_OUT_OF_RANGE;
       if (op.destinationPartials < c.tipCount ||
           op.destinationPartials >= c.bufferCount()) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -514,6 +445,9 @@ class AccelImpl : public Implementation {
       }
       ensurePartials(op.destinationPartials);
     }
+    // Deferred accumulation needs every scale target written at most once
+    // per partition and batch (levelize.h); repeated targets take the
+    // per-op path, which is the definition of the expected bit pattern.
     if (!async_ || !scaleWritesUniqueByPartition(operations, count)) {
       for (int i = 0; i < count; ++i) {
         const int rc =
@@ -530,7 +464,8 @@ class AccelImpl : public Implementation {
     obs::ScopedSpan span(recorder_, obs::Category::kScaling, "accumulateScaleFactors");
     recorder_.count(obs::Counter::kScaleAccumulations,
                     static_cast<std::uint64_t>(count));
-    return scaleOp(scaleIndices, count, cumulativeScaleIndex, +1);
+    return scaleOpRanged(scaleIndices, count, cumulativeScaleIndex, +1, 0,
+                         config_.patternCount, /*concurrent=*/false);
   }
 
   int removeScaleFactors(const int* scaleIndices, int count,
@@ -538,7 +473,8 @@ class AccelImpl : public Implementation {
     obs::ScopedSpan span(recorder_, obs::Category::kScaling, "removeScaleFactors");
     recorder_.count(obs::Counter::kScaleAccumulations,
                     static_cast<std::uint64_t>(count));
-    return scaleOp(scaleIndices, count, cumulativeScaleIndex, -1);
+    return scaleOpRanged(scaleIndices, count, cumulativeScaleIndex, -1, 0,
+                         config_.patternCount, /*concurrent=*/false);
   }
 
   int resetScaleFactors(int cumulativeScaleIndex) override {
@@ -556,85 +492,6 @@ class AccelImpl : public Implementation {
     return BGL_SUCCESS;
   }
 
-  int calculateRootLogLikelihoods(const int* bufferIndices, const int* weightIndices,
-                                  const int* freqIndices, const int* scaleIndices,
-                                  int count, double* outSumLogLikelihood) override {
-    obs::ScopedSpan span(recorder_, obs::Category::kRootLogLikelihoods,
-                         "rootLogLikelihoods");
-    recorder_.count(obs::Counter::kRootEvaluations,
-                    static_cast<std::uint64_t>(count));
-    if (pipeline_) {
-      resultParity_ ^= 1;
-      result_ = resultBuf_[resultParity_];
-    }
-    ensureResultSlots(count);
-    for (int n = 0; n < count; ++n) {
-      const int b = bufferIndices[n];
-      if (b < 0 || b >= config_.bufferCount() || partials_[b] == nullptr) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      if (!validEigenSlot(weightIndices[n]) || !validEigenSlot(freqIndices[n])) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      void* cum = nullptr;
-      if (scaleIndices != nullptr && scaleIndices[n] != BGL_OP_NONE) {
-        if (!validScale(scaleIndices[n])) return BGL_ERROR_OUT_OF_RANGE;
-        cum = scale_[scaleIndices[n]]->data();
-      } else if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) &&
-                 config_.scaleBufferCount > 0) {
-        cum = scale_[autoCumulativeIndex()]->data();
-      }
-
-      hal::KernelSpec spec = baseSpec(hal::KernelId::RootLikelihood);
-      hal::KernelArgs args;
-      args.buffers[0] = partials_[b]->data();
-      args.buffers[1] = freqs_[freqIndices[n]]->data();
-      args.buffers[2] = weights_[weightIndices[n]]->data();
-      args.buffers[3] = siteLogL_->data();
-      args.buffers[4] = cum;
-      const int ppg = integratePpg();
-      args.ints[0] = config_.patternCount;
-      args.ints[1] = config_.categoryCount;
-      args.ints[2] = config_.stateCount;
-      args.ints[3] = ppg;
-
-      hal::LaunchDims dims;
-      dims.numGroups = (config_.patternCount + ppg - 1) / ppg;
-      dims.groupSize = ppg;
-
-      perf::LaunchWork work;
-      work.flops = kernels::rootFlops(config_.patternCount, config_.categoryCount,
-                                      config_.stateCount);
-      work.bytes = kernels::rootBytes(config_.patternCount, config_.categoryCount,
-                                      config_.stateCount, sizeof(Real));
-      work.fmaFriendly = true;
-      work.doublePrecision = !spec.singlePrecision;
-      work.useFma = useFma_;
-      device_->launch(*device_->getKernel(spec), dims, args, work);
-
-      enqueueReduce(*siteLogL_, n);
-    }
-    // Single deferred readback of all subset sums; on an async device this
-    // is the first point the API thread waits on the stream. Pipelined
-    // mode drains only the compute stream — queued transition-matrix work
-    // for the next round keeps executing through the readback.
-    std::vector<double> sums(static_cast<std::size_t>(count));
-    if (pipeline_) {
-      device_->copyToHostFromStream(sums.data(), *result_, 0,
-                                    static_cast<std::size_t>(count) *
-                                        sizeof(double),
-                                    kComputeStream);
-      noteComputeDrained();
-    } else {
-      device_->copyToHost(sums.data(), *result_, 0,
-                          static_cast<std::size_t>(count) * sizeof(double));
-    }
-    double total = 0.0;
-    for (int n = 0; n < count; ++n) total += sums[n];
-    *outSumLogLikelihood = total;
-    return std::isfinite(total) ? BGL_SUCCESS : BGL_ERROR_FLOATING_POINT;
-  }
-
   /// Per-partition root integration: one ranged RootLikelihood launch plus
   /// a ranged two-phase reduction per entry, then a SINGLE readback of all
   /// partition sums. The phase-1 blocks are laid out from each partition's
@@ -649,14 +506,11 @@ class AccelImpl : public Implementation {
                          "rootLogLikelihoodsByPartition");
     recorder_.count(obs::Counter::kRootEvaluations,
                     static_cast<std::uint64_t>(count));
-    if (pipeline_) {
-      resultParity_ ^= 1;
-      result_ = resultBuf_[resultParity_];
-    }
+    flipResultBuffer();
     ensureResultSlots(count);
     for (int n = 0; n < count; ++n) {
       const int q = partitionIndices[n];
-      if (q < 0 || q >= partitionCount_) return BGL_ERROR_OUT_OF_RANGE;
+      if (!validSlot(q)) return BGL_ERROR_OUT_OF_RANGE;
       const int b = bufferIndices[n];
       if (b < 0 || b >= config_.bufferCount() || partials_[b] == nullptr) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -706,17 +560,10 @@ class AccelImpl : public Implementation {
 
       enqueueReduceRange(*siteLogL_, n, kBegin, kEnd);
     }
+    // Single deferred readback of all sums; on an async device this is the
+    // first point the API thread waits on the stream.
     std::vector<double> sums(static_cast<std::size_t>(count));
-    if (pipeline_) {
-      device_->copyToHostFromStream(sums.data(), *result_, 0,
-                                    static_cast<std::size_t>(count) *
-                                        sizeof(double),
-                                    kComputeStream);
-      noteComputeDrained();
-    } else {
-      device_->copyToHost(sums.data(), *result_, 0,
-                          static_cast<std::size_t>(count) * sizeof(double));
-    }
+    readResults(sums);
     double total = 0.0;
     bool finite = true;
     for (int n = 0; n < count; ++n) {
@@ -743,9 +590,8 @@ class AccelImpl : public Implementation {
                         outSumFirstDerivative != nullptr &&
                         outSumSecondDerivative != nullptr;
     const int slotsPer = derivs ? 3 : 1;
+    flipResultBuffer();
     if (pipeline_) {
-      resultParity_ ^= 1;
-      result_ = resultBuf_[resultParity_];
       // Edge integration reads transition matrices on the compute stream.
       matrixReadScratch_.assign(probIndices, probIndices + count);
       if (derivs) {
@@ -819,21 +665,15 @@ class AccelImpl : public Implementation {
       work.useFma = useFma_;
       device_->launch(*device_->getKernel(spec), dims, args, work);
 
-      enqueueReduce(*siteLogL_, n * slotsPer);
+      const int p = config_.patternCount;
+      enqueueReduceRange(*siteLogL_, n * slotsPer, 0, p);
       if (derivs) {
-        enqueueReduce(*siteD1_, n * slotsPer + 1);
-        enqueueReduce(*siteD2_, n * slotsPer + 2);
+        enqueueReduceRange(*siteD1_, n * slotsPer + 1, 0, p);
+        enqueueReduceRange(*siteD2_, n * slotsPer + 2, 0, p);
       }
     }
     std::vector<double> sums(static_cast<std::size_t>(count) * slotsPer);
-    if (pipeline_) {
-      device_->copyToHostFromStream(sums.data(), *result_, 0,
-                                    sums.size() * sizeof(double),
-                                    kComputeStream);
-      noteComputeDrained();
-    } else {
-      device_->copyToHost(sums.data(), *result_, 0, sums.size() * sizeof(double));
-    }
+    readResults(sums);
     double total = 0.0, totalD1 = 0.0, totalD2 = 0.0;
     for (int n = 0; n < count; ++n) {
       total += sums[static_cast<std::size_t>(n) * slotsPer];
@@ -852,18 +692,13 @@ class AccelImpl : public Implementation {
 
   int getSiteLogLikelihoods(double* outLogLikelihoods) override {
     stagingReal_.resize(config_.patternCount);
-    if (pipeline_) {
-      // Site likelihoods are compute-stream state; leave queued matrix
-      // work for the next round running.
-      device_->copyToHostFromStream(
-          stagingReal_.data(), *siteLogL_, 0,
-          static_cast<std::size_t>(config_.patternCount) * sizeof(Real),
-          kComputeStream);
-      noteComputeDrained();
-    } else {
-      device_->copyToHost(stagingReal_.data(), *siteLogL_, 0,
-                          static_cast<std::size_t>(config_.patternCount) * sizeof(Real));
-    }
+    // Site likelihoods are compute-stream state; leave queued matrix work
+    // for the next round running.
+    device_->copyToHostFromStream(
+        stagingReal_.data(), *siteLogL_, 0,
+        static_cast<std::size_t>(config_.patternCount) * sizeof(Real),
+        kComputeStream);
+    noteComputeDrained();
     for (int k = 0; k < config_.patternCount; ++k) {
       outLogLikelihoods[k] = static_cast<double>(stagingReal_[k]);
     }
@@ -1027,266 +862,11 @@ class AccelImpl : public Implementation {
   }
 
   /// States-child convention and kernel choice for one operation.
-  int opKind(const BglOperation& op) const {
-    const bool tip1 = tipStates_[op.child1Partials] != nullptr;
-    const bool tip2 = tipStates_[op.child2Partials] != nullptr;
-    return (tip1 && tip2) ? 0 : (tip1 || tip2) ? 1 : 2;
-  }
   int opKind(const BglOperationByPartition& op) const {
     const bool tip1 = tipStates_[op.child1Partials] != nullptr;
     const bool tip2 = tipStates_[op.child2Partials] != nullptr;
     return (tip1 && tip2) ? 0 : (tip1 || tip2) ? 1 : 2;
   }
-
-  int executeOperation(const BglOperation& op, int cumulativeScaleIndex) {
-    const auto& c = config_;
-    if (op.destinationPartials < c.tipCount ||
-        op.destinationPartials >= c.bufferCount()) {
-      return BGL_ERROR_OUT_OF_RANGE;
-    }
-    for (int m : {op.child1TransitionMatrix, op.child2TransitionMatrix}) {
-      if (m < 0 || m >= c.matrixBufferCount) return BGL_ERROR_OUT_OF_RANGE;
-    }
-    for (int child : {op.child1Partials, op.child2Partials}) {
-      if (child < 0 || child >= c.bufferCount()) return BGL_ERROR_OUT_OF_RANGE;
-      if (tipStates_[child] == nullptr && partials_[child] == nullptr) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-    }
-    if (op.destinationScaleWrite != BGL_OP_NONE && !validScale(op.destinationScaleWrite)) {
-      return BGL_ERROR_OUT_OF_RANGE;
-    }
-    ensurePartials(op.destinationPartials);
-
-    const auto geom = partialsGeometry();
-    const int patternBlocks = (c.patternCount + geom.ppg - 1) / geom.ppg;
-    const int members[1] = {0};
-    enqueueFusedPartials(&op, members, 1, opKind(op), geom, patternBlocks,
-                         /*concurrent=*/false);
-
-    if (op.destinationScaleWrite != BGL_OP_NONE) {
-      enqueueRescale(op, /*concurrent=*/false);
-      if (cumulativeScaleIndex != BGL_OP_NONE) {
-        const int idx = op.destinationScaleWrite;
-        const int rc = scaleOp(&idx, 1, cumulativeScaleIndex, +1);
-        if (rc != BGL_SUCCESS) return rc;
-      }
-    }
-    return BGL_SUCCESS;
-  }
-
-  /// Level-order execution: validate the whole batch in per-op order (so
-  /// error codes match the synchronous path), then issue one fused launch
-  /// per (level, kernel kind), rescales per level, and a single deferred
-  /// cumulative accumulation in original batch order. Launch count for a
-  /// whole-tree update drops from O(#nodes) to O(tree depth).
-  int executeLevelized(const BglOperation* ops, int count, int cum) {
-    const auto& c = config_;
-    for (int i = 0; i < count; ++i) {
-      const auto& op = ops[i];
-      if (op.destinationPartials < c.tipCount ||
-          op.destinationPartials >= c.bufferCount()) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      for (int m : {op.child1TransitionMatrix, op.child2TransitionMatrix}) {
-        if (m < 0 || m >= c.matrixBufferCount) return BGL_ERROR_OUT_OF_RANGE;
-      }
-      for (int child : {op.child1Partials, op.child2Partials}) {
-        if (child < 0 || child >= c.bufferCount()) return BGL_ERROR_OUT_OF_RANGE;
-        if (tipStates_[child] == nullptr && partials_[child] == nullptr) {
-          return BGL_ERROR_OUT_OF_RANGE;
-        }
-      }
-      if (op.destinationScaleWrite != BGL_OP_NONE &&
-          !validScale(op.destinationScaleWrite)) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      // Allocating here makes a later op's reference to this destination
-      // valid, exactly as in the sequential path.
-      ensurePartials(op.destinationPartials);
-    }
-
-    std::vector<int> level;
-    const int maxLevel = levelizeOperations(ops, count, level);
-    const auto geom = partialsGeometry();
-    const int patternBlocks = (c.patternCount + geom.ppg - 1) / geom.ppg;
-
-    std::vector<int> members;
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      bool firstInLevel = true;
-      // One fused launch per kernel kind. Kinds of the same level touch
-      // disjoint destinations, so all but the first fuse onto the level's
-      // run (concurrentWithPrevious).
-      for (int kind = 0; kind < 3; ++kind) {
-        members.clear();
-        for (int i = 0; i < count; ++i) {
-          if (level[i] == lv && opKind(ops[i]) == kind) members.push_back(i);
-        }
-        if (members.empty()) continue;
-        enqueueFusedPartials(ops, members.data(), static_cast<int>(members.size()),
-                             kind, geom, patternBlocks, !firstInLevel);
-        firstInLevel = false;
-      }
-      // Rescales read the partials this level just wrote (new run), but
-      // write disjoint scale buffers — scaleWritesUnique() held — so they
-      // fuse with each other.
-      bool firstRescale = true;
-      for (int i = 0; i < count; ++i) {
-        if (level[i] != lv || ops[i].destinationScaleWrite == BGL_OP_NONE) continue;
-        enqueueRescale(ops[i], !firstRescale);
-        firstRescale = false;
-      }
-    }
-
-    // Deferred cumulative accumulation, original batch order: the same
-    // per-pattern FP sequence as the per-op path, in one launch.
-    if (cum != BGL_OP_NONE) {
-      std::vector<int> writes;
-      for (int i = 0; i < count; ++i) {
-        if (ops[i].destinationScaleWrite != BGL_OP_NONE) {
-          writes.push_back(ops[i].destinationScaleWrite);
-        }
-      }
-      if (!writes.empty()) {
-        const int rc =
-            scaleOp(writes.data(), static_cast<int>(writes.size()), cum, +1);
-        if (rc != BGL_SUCCESS) return rc;
-      }
-    }
-    return BGL_SUCCESS;
-  }
-
-  /// One launch covering `n` same-kind operations of one level; grid =
-  /// n * patternBlocks * categories groups, per-op pointers in a host-side
-  /// table the stream keeps alive.
-  void enqueueFusedPartials(const BglOperation* ops, const int* members, int n,
-                            int kind, const PartialsGeometry& geom,
-                            int patternBlocks, bool concurrent) {
-    const auto& c = config_;
-    hal::KernelSpec spec = baseSpec(kind == 0   ? hal::KernelId::StatesStates
-                                    : kind == 1 ? hal::KernelId::StatesPartials
-                                                : hal::KernelId::PartialsPartials);
-    auto table = std::make_shared<std::vector<const void*>>();
-    table->reserve(static_cast<std::size_t>(n) * 5);
-    for (int m = 0; m < n; ++m) {
-      const auto& op = ops[members[m]];
-      const bool tip1 = tipStates_[op.child1Partials] != nullptr;
-      const bool tip2 = tipStates_[op.child2Partials] != nullptr;
-      // Convention: the states child (if any) occupies the first child slot.
-      int c1 = op.child1Partials, m1 = op.child1TransitionMatrix;
-      int c2 = op.child2Partials, m2 = op.child2TransitionMatrix;
-      if (!tip1 && tip2) {
-        std::swap(c1, c2);
-        std::swap(m1, m2);
-      }
-      table->push_back(partials_[op.destinationPartials]->data());
-      table->push_back((tip1 || tip2) ? tipStates_[c1]->data()
-                                      : partials_[c1]->data());
-      table->push_back(matrices_[m1]->data());
-      table->push_back((tip1 && tip2) ? tipStates_[c2]->data()
-                                      : partials_[c2]->data());
-      table->push_back(matrices_[m2]->data());
-    }
-
-    hal::KernelArgs args;
-    args.buffers[5] = table->data();
-    args.ints[0] = c.patternCount;
-    args.ints[1] = c.categoryCount;
-    args.ints[2] = c.stateCount;
-    args.ints[3] = geom.ppg;
-    args.ints[4] = n;
-
-    hal::LaunchDims dims;
-    dims.numGroups = n * patternBlocks * c.categoryCount;
-    dims.groupSize = variant_ == hal::KernelVariant::X86Style
-                         ? geom.ppg
-                         : geom.ppg * c.stateCount;
-    dims.localMemBytes = geom.localMemBytes;
-
-    perf::LaunchWork work;
-    work.flops =
-        n * kernels::partialsFlops(c.patternCount, c.categoryCount, c.stateCount);
-    work.bytes = n * kernels::partialsBytes(c.patternCount, c.categoryCount,
-                                            c.stateCount, sizeof(Real));
-    work.workingSetBytes = kernels::partialsWorkingSet(
-        c.patternCount, c.categoryCount, c.stateCount, sizeof(Real));
-    work.fmaFriendly = true;
-    work.doublePrecision = !spec.singlePrecision;
-    work.useFma = useFma_;
-    work.numGroups = dims.numGroups;
-    if (variant_ == hal::KernelVariant::GpuStyle &&
-        device_->profile().deviceClass != perf::DeviceClass::Gpu) {
-      // Table V: the GPU-style kernel is a poor fit on CPU-class devices.
-      work.variantEfficiency = perf::kGpuStyleOnCpuEfficiency;
-    }
-
-    hal::LaunchOptions opts;
-    opts.keepAlive = table;
-    opts.concurrentWithPrevious = concurrent;
-    device_->launch(*device_->getKernel(spec), dims, args, work, opts);
-  }
-
-  void enqueueRescale(const BglOperation& op, bool concurrent) {
-    const auto& c = config_;
-    recorder_.count(obs::Counter::kRescaleEvents);
-    hal::KernelSpec rspec = baseSpec(hal::KernelId::RescalePartials);
-    hal::KernelArgs rargs;
-    rargs.buffers[0] = partials_[op.destinationPartials]->data();
-    rargs.buffers[1] = scale_[op.destinationScaleWrite]->data();
-    const int ppg = integratePpg();
-    rargs.ints[0] = c.patternCount;
-    rargs.ints[1] = c.categoryCount;
-    rargs.ints[2] = c.stateCount;
-    rargs.ints[3] = ppg;
-    hal::LaunchDims rdims;
-    rdims.numGroups = (c.patternCount + ppg - 1) / ppg;
-    rdims.groupSize = ppg;
-    perf::LaunchWork rwork;
-    rwork.flops = static_cast<double>(c.patternCount) * c.categoryCount * c.stateCount;
-    rwork.bytes = 2.0 * c.patternCount * c.categoryCount * c.stateCount * sizeof(Real);
-    rwork.doublePrecision = !std::is_same_v<Real, float>;
-    hal::LaunchOptions opts;
-    opts.concurrentWithPrevious = concurrent;
-    device_->launch(*device_->getKernel(rspec), rdims, rargs, rwork, opts);
-  }
-
-  /// Multi-source scale accumulation: ONE multi-group launch adds (or
-  /// removes) all sources per pattern in array order — the per-element FP
-  /// sequence of `count` serial launches, so the result is bit-identical.
-  int scaleOp(const int* scaleIndices, int count, int cumulativeScaleIndex, int sign) {
-    if (!validScale(cumulativeScaleIndex)) return BGL_ERROR_OUT_OF_RANGE;
-    for (int i = 0; i < count; ++i) {
-      if (!validScale(scaleIndices[i])) return BGL_ERROR_OUT_OF_RANGE;
-    }
-    if (count <= 0) return BGL_SUCCESS;
-    auto indices = std::make_shared<std::vector<std::int32_t>>(
-        scaleIndices, scaleIndices + count);
-    hal::KernelSpec spec = baseSpec(hal::KernelId::AccumulateScale);
-    hal::KernelArgs args;
-    args.buffers[0] = scale_[cumulativeScaleIndex]->data();
-    args.buffers[1] = scaleAlloc_->data();
-    args.buffers[2] = indices->data();
-    const int ppg = integratePpg();
-    args.ints[0] = config_.patternCount;
-    args.ints[1] = sign;
-    args.ints[2] = count;
-    args.ints[3] = static_cast<std::int64_t>(scaleStride_ / sizeof(Real));
-    args.ints[4] = ppg;
-    hal::LaunchDims dims;
-    dims.numGroups = (config_.patternCount + ppg - 1) / ppg;
-    hal::LaunchOptions opts;
-    opts.keepAlive = indices;
-    device_->launch(*device_->getKernel(spec), dims, args, scaleWork(count + 1),
-                    opts);
-    return BGL_SUCCESS;
-  }
-
-  // ------------------------------------------------------------------
-  // Multi-partition execution. Partitions occupy disjoint [begin, end)
-  // ranges of the concatenated pattern axis and share every node-indexed
-  // buffer; all launches below are the ranged variants of the kernels the
-  // single-partition path uses, so the per-pattern FP sequences coincide.
-  // ------------------------------------------------------------------
 
   /// One batched matrix launch for a (eigen, rates) model pair, including
   /// the pipelined-mode stream fencing. The stage is a host-side
@@ -1354,9 +934,14 @@ class AccelImpl : public Implementation {
     device_->launch(*kernel, dims, args, work, opts);
   }
 
-  /// Serial per-op partitioned execution (sync mode, or repeated scale
-  /// targets): one ranged fused launch, then the op's ranged rescale and
-  /// immediate ranged cumulative accumulation. Caller validated the batch.
+  // ------------------------------------------------------------------
+  // Partials execution. Every launch below is ranged: an operation covers
+  // its slot's [begin, end) of the pattern axis, the whole axis included.
+  // ------------------------------------------------------------------
+
+  /// Serial per-op execution (sync mode, or repeated scale targets): one
+  /// ranged fused launch, then the op's ranged rescale and immediate ranged
+  /// cumulative accumulation. Caller validated the batch.
   int executePartitionedOperation(const BglOperationByPartition& op,
                                   int cumulativeScaleIndex) {
     const auto geom = partialsGeometry();
@@ -1384,8 +969,7 @@ class AccelImpl : public Implementation {
   int executeLevelizedByPartition(const BglOperationByPartition* ops, int count,
                                   int cum) {
     std::vector<int> level;
-    const int maxLevel =
-        levelizeOperationsByPartition(ops, count, partitionCount_, level);
+    const int maxLevel = levelizeOperationsByPartition(ops, count, slotCount(), level);
     const auto geom = partialsGeometry();
 
     std::vector<int> members;
@@ -1416,13 +1000,13 @@ class AccelImpl : public Implementation {
     }
 
     // Deferred cumulative accumulation: one ranged batched launch per
-    // partition, sources in original batch order within the partition (the
-    // per-pattern FP sequence of the per-op path). Partitions cover
+    // slot, sources in original batch order within the slot (the
+    // per-pattern FP sequence of the per-op path). A batch's slots cover
     // disjoint ranges, so all but the first fuse onto the same run.
     if (cum != BGL_OP_NONE) {
       std::vector<int> writes;
       bool first = true;
-      for (int q = 0; q < partitionCount_; ++q) {
+      for (int q = 0; q < slotCount(); ++q) {
         writes.clear();
         for (int i = 0; i < count; ++i) {
           if (ops[i].partition == q &&
@@ -1499,7 +1083,6 @@ class AccelImpl : public Implementation {
     args.ints[2] = c.stateCount;
     args.ints[3] = geom.ppg;
     args.ints[4] = n;
-    args.ints[5] = 1;
 
     hal::LaunchDims dims;
     dims.numGroups = groupOffset;
@@ -1560,8 +1143,10 @@ class AccelImpl : public Implementation {
     device_->launch(*device_->getKernel(rspec), rdims, rargs, rwork, opts);
   }
 
-  /// Ranged batched scale accumulation over one partition's pattern range;
-  /// sources accumulate in array order, as in scaleOp.
+  /// Multi-source scale accumulation over one pattern range: ONE multi-group
+  /// launch adds (or removes) all sources per pattern in array order — the
+  /// per-element FP sequence of `count` serial launches, so the result is
+  /// bit-identical.
   int scaleOpRanged(const int* scaleIndices, int count, int cumulativeScaleIndex,
                     int sign, int kBegin, int kEnd, bool concurrent) {
     if (!validScale(cumulativeScaleIndex)) return BGL_ERROR_OUT_OF_RANGE;
@@ -1577,7 +1162,6 @@ class AccelImpl : public Implementation {
     args.buffers[1] = scaleAlloc_->data();
     args.buffers[2] = indices->data();
     const int ppg = integratePpg();
-    args.ints[0] = config_.patternCount;
     args.ints[1] = sign;
     args.ints[2] = count;
     args.ints[3] = static_cast<std::int64_t>(scaleStride_ / sizeof(Real));
@@ -1617,7 +1201,24 @@ class AccelImpl : public Implementation {
         pipeline_ ? device_->alloc(static_cast<std::size_t>(resultSlots_) *
                                    sizeof(double))
                   : resultBuf_[0];
-    result_ = resultBuf_[resultParity_ & (pipeline_ ? 1 : 0)];
+    result_ = resultBuf_[resultParity_];
+  }
+
+  /// Alternate result buffers between evaluations (the parities alias one
+  /// buffer unless pipelined).
+  void flipResultBuffer() {
+    resultParity_ ^= 1;
+    result_ = resultBuf_[resultParity_];
+  }
+
+  /// Read back the leading sums.size() result slots. Pipelined mode drains
+  /// only the compute stream — queued transition-matrix work for the next
+  /// round keeps executing through the readback; on a single-stream device
+  /// this is a plain copyToHost.
+  void readResults(std::vector<double>& sums) {
+    device_->copyToHostFromStream(sums.data(), *result_, 0,
+                                  sums.size() * sizeof(double), kComputeStream);
+    noteComputeDrained();
   }
 
   // ------------------------------------------------------------------
@@ -1664,43 +1265,12 @@ class AccelImpl : public Implementation {
     std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
   }
 
-  /// Enqueue the weighted reduction of `site` into result slot `slot`.
-  /// Phase 1 partial-sums fixed 1024-pattern blocks; phase 2 combines them
-  /// in ascending order. The block size depends only on the pattern count,
-  /// so every framework and both sync/async paths bracket identically.
-  void enqueueReduce(hal::Buffer& site, int slot) {
-    hal::KernelSpec spec = baseSpec(hal::KernelId::SumSiteLikelihoods);
-    const int blocks = reduceBlocks();
-    {
-      hal::KernelArgs args;
-      args.buffers[0] = site.data();
-      args.buffers[1] = patternWeights_->data();
-      args.buffers[2] = reduceScratch_->data();
-      args.ints[0] = config_.patternCount;
-      args.ints[1] = kReducePatternsPerBlock;
-      perf::LaunchWork work;
-      work.flops = 2.0 * config_.patternCount;
-      work.bytes = 2.0 * config_.patternCount * sizeof(Real);
-      work.doublePrecision = true;
-      device_->launch(*device_->getKernel(spec), {blocks, 1, 0}, args, work);
-    }
-    {
-      hal::KernelArgs args;
-      args.buffers[0] = reduceScratch_->data();
-      args.buffers[2] = static_cast<double*>(result_->data()) + slot;
-      args.ints[0] = config_.patternCount;
-      args.ints[2] = blocks;
-      perf::LaunchWork work;
-      work.flops = static_cast<double>(blocks);
-      work.bytes = static_cast<double>(blocks + 1) * sizeof(double);
-      work.doublePrecision = true;
-      device_->launch(*device_->getKernel(spec), {1, 1, 0}, args, work);
-    }
-  }
-
-  /// Ranged variant of enqueueReduce: phase-1 blocks are laid out from the
-  /// partition's range start (covering [kBegin, kEnd)), so the partition's
-  /// sum brackets exactly as a standalone per-partition buffer would.
+  /// Enqueue the weighted reduction of `site` over [kBegin, kEnd) into result
+  /// slot `slot`. Phase 1 partial-sums fixed 1024-pattern blocks laid out
+  /// from kBegin; phase 2 combines them in ascending order. The block size
+  /// depends only on the range, so every framework and both sync/async
+  /// paths bracket identically, and a partition's sum brackets exactly as a
+  /// standalone per-partition buffer would.
   void enqueueReduceRange(hal::Buffer& site, int slot, int kBegin, int kEnd) {
     hal::KernelSpec spec = baseSpec(hal::KernelId::SumSiteLikelihoods);
     const int blocks = (kEnd - kBegin + kReducePatternsPerBlock - 1) /
@@ -1710,7 +1280,6 @@ class AccelImpl : public Implementation {
       args.buffers[0] = site.data();
       args.buffers[1] = patternWeights_->data();
       args.buffers[2] = reduceScratch_->data();
-      args.ints[0] = config_.patternCount;
       args.ints[1] = kReducePatternsPerBlock;
       args.ints[3] = kBegin;
       args.ints[4] = kEnd;
@@ -1724,7 +1293,6 @@ class AccelImpl : public Implementation {
       hal::KernelArgs args;
       args.buffers[0] = reduceScratch_->data();
       args.buffers[2] = static_cast<double*>(result_->data()) + slot;
-      args.ints[0] = config_.patternCount;
       args.ints[2] = blocks;
       perf::LaunchWork work;
       work.flops = static_cast<double>(blocks);
@@ -1758,12 +1326,6 @@ class AccelImpl : public Implementation {
   std::vector<hal::BufferPtr> cijk_, eval_, freqs_, weights_, rates_;
   hal::BufferPtr patternWeights_, siteLogL_, siteD1_, siteD2_;
   hal::BufferPtr reduceScratch_, result_, resultBuf_[2];
-
-  // Multi-partition state: partitions occupy [partBegin_[q], partEnd_[q])
-  // of the concatenated pattern axis (single-partition: one full range).
-  int partitionCount_ = 1;
-  std::vector<int> partBegin_{0};
-  std::vector<int> partEnd_;
 
   // Persistent host staging reused across transfers (no per-call vectors).
   std::vector<Real> stagingReal_;

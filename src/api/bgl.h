@@ -325,16 +325,18 @@ int bglUpdatePartials(int instance, const BglOperation* operations,
  * bglCalculateRootLogLikelihoodsByPartition returns one log likelihood per
  * partition. Partition-blind entry points (bglUpdatePartials,
  * bglCalculateRootLogLikelihoods, ...) still operate on the full pattern
- * axis. Passing partitionCount == 1 returns to single-partition behavior.
+ * axis: they are whole-axis calls onto the partitioned path, bitwise
+ * identical to the same calls on a single-partition instance. Passing
+ * partitionCount == 1 returns to single-partition behavior.
  *
  * The per-partition arithmetic is range-blocked, so every partition's
  * result is bitwise identical to a single-partition instance holding that
  * partition's patterns alone (see docs/PERFORMANCE.md, "Multi-partition
  * evaluation").
  *
- * Returns BGL_ERROR_OUT_OF_RANGE for a map that is not a non-decreasing
- * cover of [0, partitionCount), and BGL_ERROR_UNIMPLEMENTED on
- * implementations without multi-partition support.
+ * Every implementation supports multi-partition mode. Returns
+ * BGL_ERROR_OUT_OF_RANGE for a map that is not a non-decreasing cover of
+ * [0, partitionCount).
  */
 int bglSetPatternPartitions(int instance, int partitionCount,
                             const int* inPatternPartitions);

@@ -539,7 +539,15 @@ int bglUpdatePartialsByPartition(int instance,
                                  const BglOperationByPartition* operations,
                                  int operationCount, int cumulativeScaleIndex) {
   if (operations == nullptr || operationCount < 0) return BGL_ERROR_OUT_OF_RANGE;
-  return withInstance(instance, [&](auto& impl) {
+  return withInstance(instance, [&](auto& impl) -> int {
+    // Implementations accept every range-table slot; the trailing one is
+    // reserved for the partition-blind entry points.
+    for (int i = 0; i < operationCount; ++i) {
+      if (operations[i].partition < 0 ||
+          operations[i].partition >= impl.partitionCount()) {
+        return BGL_ERROR_OUT_OF_RANGE;
+      }
+    }
     return impl.updatePartialsByPartition(operations, operationCount,
                                           cumulativeScaleIndex);
   });
@@ -595,7 +603,12 @@ int bglCalculateRootLogLikelihoodsByPartition(
       outSumLogLikelihoodByPartition == nullptr || count < 1) {
     return BGL_ERROR_OUT_OF_RANGE;
   }
-  return withInstance(instance, [&](auto& impl) {
+  return withInstance(instance, [&](auto& impl) -> int {
+    for (int i = 0; i < count; ++i) {
+      if (partitionIndices[i] < 0 || partitionIndices[i] >= impl.partitionCount()) {
+        return BGL_ERROR_OUT_OF_RANGE;
+      }
+    }
     return impl.calculateRootLogLikelihoodsByPartition(
         bufferIndices, categoryWeightsIndices, stateFrequenciesIndices,
         cumulativeScaleIndices, partitionIndices, count,

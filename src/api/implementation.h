@@ -6,8 +6,10 @@
 // interface without touching the core library or client programs.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/bgl.h"
 #include "obs/trace.h"
@@ -34,6 +36,9 @@ struct InstanceConfig {
 
 /// Abstract likelihood-computation backend. All methods return a
 /// BglReturnCode; buffer-index validation happens here, not in the C shim.
+/// Every family has one partials-update and one root-integration path, the
+/// partitioned one; the partition-blind entry points are whole-axis calls
+/// onto it.
 class Implementation {
  public:
   virtual ~Implementation() = default;
@@ -66,18 +71,49 @@ class Implementation {
                                   double paddedValue) = 0;
   virtual int getTransitionMatrix(int matrixIndex, double* outMatrix) = 0;
 
-  virtual int updatePartials(const BglOperation* operations, int count,
-                             int cumulativeScaleIndex) = 0;
-
-  /// Multi-partition mode (bglSetPatternPartitions and friends). The CPU
-  /// and accelerator families implement these; backends without partition
-  /// support inherit the BGL_ERROR_UNIMPLEMENTED defaults. Map validation
-  /// (non-decreasing contiguous cover) happens in the C shim, so
-  /// implementations receive a well-formed map.
-  virtual int setPatternPartitions(int /*partitionCount*/,
-                                   const int* /*patternPartitions*/) {
-    return BGL_ERROR_UNIMPLEMENTED;
+  /// Partition-blind partials update: the whole pattern axis is the
+  /// reserved trailing slot of the range table, so the batch runs on the
+  /// partitioned path with every operation tagged with that slot.
+  int updatePartials(const BglOperation* operations, int count,
+                     int cumulativeScaleIndex) {
+    wholeAxisOps_.resize(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      const BglOperation& op = operations[i];
+      wholeAxisOps_[i] = {op.destinationPartials,    op.destinationScaleWrite,
+                          op.destinationScaleRead,   op.child1Partials,
+                          op.child1TransitionMatrix, op.child2Partials,
+                          op.child2TransitionMatrix, partitionCount_};
+    }
+    return updatePartialsByPartition(wholeAxisOps_.data(), count,
+                                     cumulativeScaleIndex);
   }
+
+  /// Multi-partition mode (bglSetPatternPartitions): convert the per-pattern
+  /// map into [begin, end) ranges. Map validation (non-decreasing contiguous
+  /// cover) happens in the C shim, so this receives a well-formed map.
+  int setPatternPartitions(int partitionCount, const int* patternPartitions) {
+    if (partitionCount < 1) return BGL_ERROR_OUT_OF_RANGE;
+    const int patterns = config_.patternCount;
+    std::vector<int> begin(static_cast<std::size_t>(partitionCount) + 1, 0);
+    std::vector<int> end(static_cast<std::size_t>(partitionCount) + 1, patterns);
+    if (partitionCount > 1) {
+      for (int k = 0; k < patterns; ++k) {
+        const int q = patternPartitions[k];
+        if (q < 0 || q >= partitionCount) return BGL_ERROR_OUT_OF_RANGE;
+        if (k == 0 || patternPartitions[k - 1] != q) begin[q] = k;
+        end[q] = k + 1;
+      }
+    }
+    partBegin_ = std::move(begin);
+    partEnd_ = std::move(end);
+    partitionCount_ = partitionCount;
+    return BGL_SUCCESS;
+  }
+
+  /// User partitions are [0, partitionCount()); the range-table slot
+  /// partitionCount() is reserved for the partition-blind entry points.
+  int partitionCount() const { return partitionCount_; }
+
   virtual int setCategoryRatesWithIndex(int ratesIndex, const double* inRates) {
     return ratesIndex == 0 ? setCategoryRates(inRates) : BGL_ERROR_UNIMPLEMENTED;
   }
@@ -86,18 +122,17 @@ class Implementation {
       const int* /*probIndices*/, const double* /*edgeLengths*/, int /*count*/) {
     return BGL_ERROR_UNIMPLEMENTED;
   }
-  virtual int updatePartialsByPartition(
-      const BglOperationByPartition* /*operations*/, int /*count*/,
-      int /*cumulativeScaleIndex*/) {
-    return BGL_ERROR_UNIMPLEMENTED;
-  }
+
+  /// The one partials-update path of every family. Operation partitions are
+  /// range-table slots; the C shim has already rejected the reserved slot
+  /// for user calls.
+  virtual int updatePartialsByPartition(const BglOperationByPartition* operations,
+                                        int count, int cumulativeScaleIndex) = 0;
+  /// The one root-integration path of every family (slots as above).
   virtual int calculateRootLogLikelihoodsByPartition(
-      const int* /*bufferIndices*/, const int* /*weightIndices*/,
-      const int* /*freqIndices*/, const int* /*scaleIndices*/,
-      const int* /*partitionIndices*/, int /*count*/, double* /*outByPartition*/,
-      double* /*outTotal*/) {
-    return BGL_ERROR_UNIMPLEMENTED;
-  }
+      const int* bufferIndices, const int* weightIndices, const int* freqIndices,
+      const int* scaleIndices, const int* partitionIndices, int count,
+      double* outByPartition, double* outTotal) = 0;
 
   virtual int accumulateScaleFactors(const int* scaleIndices, int count,
                                      int cumulativeScaleIndex) = 0;
@@ -105,11 +140,20 @@ class Implementation {
                                  int cumulativeScaleIndex) = 0;
   virtual int resetScaleFactors(int cumulativeScaleIndex) = 0;
 
-  virtual int calculateRootLogLikelihoods(const int* bufferIndices,
-                                          const int* weightIndices,
-                                          const int* freqIndices,
-                                          const int* scaleIndices, int count,
-                                          double* outSumLogLikelihood) = 0;
+  /// Partition-blind root integration: every entry on the whole-axis slot.
+  int calculateRootLogLikelihoods(const int* bufferIndices, const int* weightIndices,
+                                  const int* freqIndices, const int* scaleIndices,
+                                  int count, double* outSumLogLikelihood) {
+    wholeAxisSlots_.assign(static_cast<std::size_t>(count), partitionCount_);
+    wholeAxisSums_.resize(static_cast<std::size_t>(count));
+    double total = 0.0;
+    const int rc = calculateRootLogLikelihoodsByPartition(
+        bufferIndices, weightIndices, freqIndices, scaleIndices,
+        wholeAxisSlots_.data(), count, wholeAxisSums_.data(), &total);
+    if (rc != BGL_SUCCESS && rc != BGL_ERROR_FLOATING_POINT) return rc;
+    *outSumLogLikelihood = total;
+    return std::isfinite(total) ? BGL_SUCCESS : BGL_ERROR_FLOATING_POINT;
+  }
   virtual int calculateEdgeLogLikelihoods(
       const int* parentIndices, const int* childIndices, const int* probIndices,
       const int* d1Indices, const int* d2Indices, const int* weightIndices,
@@ -133,8 +177,28 @@ class Implementation {
   virtual int setWorkGroupSize(int /*patterns*/) { return BGL_ERROR_UNIMPLEMENTED; }
 
  protected:
+  explicit Implementation(const InstanceConfig& cfg)
+      : config_(cfg),
+        partBegin_{0, 0},
+        partEnd_{cfg.patternCount, cfg.patternCount} {}
+
+  /// Range-table slots: the user partitions plus the reserved whole axis.
+  int slotCount() const { return partitionCount_ + 1; }
+  bool validSlot(int slot) const { return slot >= 0 && slot <= partitionCount_; }
+
   InstanceConfig config_;
   obs::TraceRecorder recorder_;
+
+  // Range table: slot q < partitionCount_ covers concatenated patterns
+  // [partBegin_[q], partEnd_[q]); slot partitionCount_ is [0, patternCount).
+  int partitionCount_ = 1;
+  std::vector<int> partBegin_, partEnd_;
+
+ private:
+  // Per-call scratch of the partition-blind lowerings.
+  std::vector<BglOperationByPartition> wholeAxisOps_;
+  std::vector<int> wholeAxisSlots_;
+  std::vector<double> wholeAxisSums_;
 };
 
 /// Factory for one implementation family. The manager interrogates

@@ -1,13 +1,19 @@
 // Dependency levelization for batches of partials operations.
 //
-// An updatePartials batch is a post-order slice of the tree: operation i
-// depends on an earlier operation j when j's destination feeds i (as a
-// child) or i re-uses the same destination buffer. Grouping operations by
-// dependency depth turns a batch of N per-node dispatches into one fused
-// dispatch per level — O(tree depth) launches for a whole-tree update —
-// while operations inside a level remain topology-independent and can run
-// concurrently. The accelerator path (accel/accel_impl.h) and the threaded
-// CPU implementations (cpu/threaded_impl.h) share this analysis.
+// A partials batch is a post-order slice of the tree: operation i depends
+// on an earlier operation j when j's destination feeds i (as a child) or i
+// re-uses the same destination buffer. Grouping operations by dependency
+// depth turns a batch of N per-node dispatches into one fused dispatch per
+// level — O(tree depth) launches for a whole-tree update — while operations
+// inside a level remain topology-independent and can run concurrently.
+//
+// Execution uses the partitioned analysis only: a partition-blind batch is
+// a partitioned one with every operation on the whole-axis slot of the
+// range table (api/implementation.h), which levels exactly as the
+// unpartitioned analysis would. The accelerator path (accel/accel_impl.h)
+// and the threaded CPU implementations (cpu/threaded_impl.h) share it.
+// levelizeOperations, the unpartitioned analysis, remains for callers that
+// levelize a plain BglOperation batch themselves (benchmarks, tests).
 #pragma once
 
 #include <algorithm>
@@ -68,7 +74,8 @@ inline int levelizeOperations(const BglOperation* ops, int count,
 /// same node's update in different partitions is independent — Q
 /// partitions' whole-tree batches collapse to the *tree's* depth in
 /// levels, not depth × Q, which is what keeps the fused launch count
-/// O(tree depth) in multi-partition mode.
+/// O(tree depth) in multi-partition mode. Every op.partition must be below
+/// `partitionCount` (implementations pass the range table's slot count).
 inline int levelizeOperationsByPartition(const BglOperationByPartition* ops,
                                          int count, int partitionCount,
                                          std::vector<int>& level) {
@@ -113,26 +120,13 @@ inline int levelizeOperationsByPartition(const BglOperationByPartition* ops,
   return maxLevel;
 }
 
-/// True when no scale buffer is written by more than one operation in the
-/// batch. Level-order execution defers the cumulative scale accumulation
-/// to the end of the batch (in original operation order, preserving the
-/// exact FP sequence of the per-op path); a repeated scale target would
-/// have lost its earlier value by then, so such batches take the serial
-/// fallback instead.
-inline bool scaleWritesUnique(const BglOperation* ops, int count) {
-  std::vector<int> writes;
-  for (int i = 0; i < count; ++i) {
-    if (ops[i].destinationScaleWrite != BGL_OP_NONE) {
-      writes.push_back(ops[i].destinationScaleWrite);
-    }
-  }
-  std::sort(writes.begin(), writes.end());
-  return std::adjacent_find(writes.begin(), writes.end()) == writes.end();
-}
-
-/// Partitioned variant of scaleWritesUnique: a scale buffer may be
-/// written once per *partition* (disjoint pattern ranges), so uniqueness
-/// is keyed on the (scaleBuffer, partition) pair.
+/// True when no (scale buffer, partition) pair is written by more than one
+/// operation in the batch. Level-order execution defers the cumulative
+/// scale accumulation to the end of the batch (in original operation order,
+/// preserving the exact FP sequence of the per-op path); a repeated scale
+/// target would have lost its earlier value by then, so such batches take
+/// the serial-order fallback instead. Partitions cover disjoint pattern
+/// ranges, so one scale buffer may be written once per partition.
 inline bool scaleWritesUniqueByPartition(const BglOperationByPartition* ops,
                                          int count) {
   std::vector<std::pair<int, int>> writes;

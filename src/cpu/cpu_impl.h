@@ -7,8 +7,10 @@
 // from this class and override the compute hooks only.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "api/implementation.h"
@@ -18,11 +20,18 @@
 
 namespace bgl::cpu {
 
+/// Block t of [begin, end) cut into nt equal blocks (trailing blocks may be
+/// short or empty) — how the threaded implementations split a range.
+inline std::pair<int, int> patternBlock(int begin, int end, int nt, int t) {
+  const int block = (end - begin + nt - 1) / nt;
+  const int kBegin = begin + t * block;
+  return {kBegin, std::min(end, kBegin + block)};
+}
+
 template <RealScalar Real>
 class CpuImpl : public Implementation {
  public:
-  explicit CpuImpl(const InstanceConfig& cfg) {
-    config_ = cfg;
+  explicit CpuImpl(const InstanceConfig& cfg) : Implementation(cfg) {
     const auto& c = config_;
     partials_.resize(c.bufferCount());
     tipStates_.resize(c.bufferCount());
@@ -43,7 +52,6 @@ class CpuImpl : public Implementation {
     siteLogL_.assign(c.patternCount, Real(0));
     siteD1_.assign(c.patternCount, Real(0));
     siteD2_.assign(c.patternCount, Real(0));
-    partEnd_.assign(1, c.patternCount);
   }
 
   std::string implName() const override { return "CPU-serial"; }
@@ -309,68 +317,16 @@ class CpuImpl : public Implementation {
   }
 
   // ------------------------------------------------------------------
-  // Partials operations
+  // Partials operations and root integration (range-table slots; see
+  // Implementation)
   // ------------------------------------------------------------------
 
-  int updatePartials(const BglOperation* operations, int count,
-                     int cumulativeScaleIndex) override {
+  int updatePartialsByPartition(const BglOperationByPartition* operations,
+                                int count, int cumulativeScaleIndex) override {
     // SCALING_ALWAYS: the library owns the scale bookkeeping. Each
     // operation rescales into buffer (dest - tipCount); the last scale
     // buffer is the cumulative one, reset per batch and picked up
     // automatically by root/edge calculations.
-    std::vector<BglOperation> rewritten;
-    if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) && config_.scaleBufferCount > 0) {
-      rewritten.assign(operations, operations + count);
-      for (auto& op : rewritten) {
-        if (op.destinationScaleWrite == BGL_OP_NONE) {
-          op.destinationScaleWrite = op.destinationPartials - config_.tipCount;
-        }
-      }
-      operations = rewritten.data();
-      cumulativeScaleIndex = autoCumulativeIndex();
-      const int rc = resetScaleFactors(cumulativeScaleIndex);
-      if (rc != BGL_SUCCESS) return rc;
-    }
-    const int rc = validateOperations(operations, count, cumulativeScaleIndex);
-    if (rc != BGL_SUCCESS) return rc;
-    obs::ScopedSpan span(recorder_, obs::Category::kUpdatePartials,
-                         "updatePartials");
-    recorder_.count(obs::Counter::kPartialsOperations,
-                    static_cast<std::uint64_t>(count));
-    executeOperations(operations, count, cumulativeScaleIndex);
-    return BGL_SUCCESS;
-  }
-
-  // ------------------------------------------------------------------
-  // Multi-partition mode
-  // ------------------------------------------------------------------
-
-  int setPatternPartitions(int partitionCount,
-                           const int* patternPartitions) override {
-    if (partitionCount < 1) return BGL_ERROR_OUT_OF_RANGE;
-    if (partitionCount == 1) {
-      partitionCount_ = 1;
-      partBegin_.assign(1, 0);
-      partEnd_.assign(1, config_.patternCount);
-      return BGL_SUCCESS;
-    }
-    // The C shim guarantees a non-decreasing contiguous cover; convert
-    // the per-pattern map into [begin, end) ranges.
-    partBegin_.assign(partitionCount, 0);
-    partEnd_.assign(partitionCount, 0);
-    for (int k = 0; k < config_.patternCount; ++k) {
-      const int q = patternPartitions[k];
-      if (q < 0 || q >= partitionCount) return BGL_ERROR_OUT_OF_RANGE;
-      if (partEnd_[q] == 0) partBegin_[q] = k;
-      partEnd_[q] = k + 1;
-    }
-    partitionCount_ = partitionCount;
-    return BGL_SUCCESS;
-  }
-
-  int updatePartialsByPartition(const BglOperationByPartition* operations,
-                                int count, int cumulativeScaleIndex) override {
-    if (partitionCount_ < 1) return BGL_ERROR_OUT_OF_RANGE;
     std::vector<BglOperationByPartition> rewritten;
     if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) && config_.scaleBufferCount > 0) {
       rewritten.assign(operations, operations + count);
@@ -387,8 +343,7 @@ class CpuImpl : public Implementation {
       const int rc = resetScaleFactors(cumulativeScaleIndex);
       if (rc != BGL_SUCCESS) return rc;
     }
-    const int rc = validatePartitionedOperations(operations, count,
-                                                 cumulativeScaleIndex);
+    const int rc = validateOperations(operations, count, cumulativeScaleIndex);
     if (rc != BGL_SUCCESS) return rc;
     obs::ScopedSpan span(recorder_, obs::Category::kUpdatePartials,
                          "updatePartialsByPartition");
@@ -402,7 +357,6 @@ class CpuImpl : public Implementation {
       const int* bufferIndices, const int* weightIndices, const int* freqIndices,
       const int* scaleIndices, const int* partitionIndices, int count,
       double* outByPartition, double* outTotal) override {
-    if (partitionCount_ < 1) return BGL_ERROR_OUT_OF_RANGE;
     obs::ScopedSpan span(recorder_, obs::Category::kRootLogLikelihoods,
                          "rootLogLikelihoodsByPartition");
     recorder_.count(obs::Counter::kRootEvaluations,
@@ -411,7 +365,7 @@ class CpuImpl : public Implementation {
     bool finite = true;
     for (int n = 0; n < count; ++n) {
       const int q = partitionIndices[n];
-      if (q < 0 || q >= partitionCount_) return BGL_ERROR_OUT_OF_RANGE;
+      if (!validSlot(q)) return BGL_ERROR_OUT_OF_RANGE;
       const int b = bufferIndices[n];
       if (b < 0 || b >= config_.bufferCount() || partials_[b].empty()) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -450,13 +404,7 @@ class CpuImpl : public Implementation {
     obs::ScopedSpan span(recorder_, obs::Category::kScaling, "accumulateScaleFactors");
     recorder_.count(obs::Counter::kScaleAccumulations,
                     static_cast<std::uint64_t>(count));
-    for (int i = 0; i < count; ++i) {
-      if (!validScale(scaleIndices[i])) return BGL_ERROR_OUT_OF_RANGE;
-      auto& cum = scale_[cumulativeScaleIndex];
-      const auto& src = scale_[scaleIndices[i]];
-      for (int k = 0; k < config_.patternCount; ++k) cum[k] += src[k];
-    }
-    return BGL_SUCCESS;
+    return foldScaleFactors(scaleIndices, count, cumulativeScaleIndex, Real(1));
   }
 
   int removeScaleFactors(const int* scaleIndices, int count,
@@ -465,13 +413,7 @@ class CpuImpl : public Implementation {
     obs::ScopedSpan span(recorder_, obs::Category::kScaling, "removeScaleFactors");
     recorder_.count(obs::Counter::kScaleAccumulations,
                     static_cast<std::uint64_t>(count));
-    for (int i = 0; i < count; ++i) {
-      if (!validScale(scaleIndices[i])) return BGL_ERROR_OUT_OF_RANGE;
-      auto& cum = scale_[cumulativeScaleIndex];
-      const auto& src = scale_[scaleIndices[i]];
-      for (int k = 0; k < config_.patternCount; ++k) cum[k] -= src[k];
-    }
-    return BGL_SUCCESS;
+    return foldScaleFactors(scaleIndices, count, cumulativeScaleIndex, Real(-1));
   }
 
   int resetScaleFactors(int cumulativeScaleIndex) override {
@@ -482,44 +424,8 @@ class CpuImpl : public Implementation {
   }
 
   // ------------------------------------------------------------------
-  // Likelihood integration
+  // Edge integration
   // ------------------------------------------------------------------
-
-  int calculateRootLogLikelihoods(const int* bufferIndices, const int* weightIndices,
-                                  const int* freqIndices, const int* scaleIndices,
-                                  int count, double* outSumLogLikelihood) override {
-    obs::ScopedSpan span(recorder_, obs::Category::kRootLogLikelihoods,
-                         "rootLogLikelihoods");
-    recorder_.count(obs::Counter::kRootEvaluations,
-                    static_cast<std::uint64_t>(count));
-    double total = 0.0;
-    for (int n = 0; n < count; ++n) {
-      const int b = bufferIndices[n];
-      if (b < 0 || b >= config_.bufferCount() || partials_[b].empty()) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      if (!validEigenSlot(weightIndices[n]) || !validEigenSlot(freqIndices[n])) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      const Real* cum = nullptr;
-      if (scaleIndices != nullptr && scaleIndices[n] != BGL_OP_NONE) {
-        if (!validScale(scaleIndices[n])) return BGL_ERROR_OUT_OF_RANGE;
-        cum = scale_[scaleIndices[n]].data();
-      } else if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) &&
-                 config_.scaleBufferCount > 0) {
-        cum = scale_[autoCumulativeIndex()].data();
-      }
-      computeRootSites(partials_[b].data(), freqs_[freqIndices[n]].data(),
-                       weights_[weightIndices[n]].data(), cum);
-      total += weightedSiteSum(siteLogL_.data());
-    }
-    if (!std::isfinite(total)) {
-      *outSumLogLikelihood = total;
-      return BGL_ERROR_FLOATING_POINT;
-    }
-    *outSumLogLikelihood = total;
-    return BGL_SUCCESS;
-  }
 
   int calculateEdgeLogLikelihoods(const int* parentIndices, const int* childIndices,
                                   const int* probIndices, const int* d1Indices,
@@ -571,10 +477,11 @@ class CpuImpl : public Implementation {
           cum, siteLogL_.data(), derivs ? siteD1_.data() : nullptr,
           derivs ? siteD2_.data() : nullptr, config_.patternCount,
           config_.categoryCount, config_.stateCount, 0, config_.patternCount);
-      total += weightedSiteSum(siteLogL_.data());
+      const int p = config_.patternCount;
+      total += weightedSiteSumRange(siteLogL_.data(), 0, p);
       if (derivs) {
-        totalD1 += weightedSiteSum(siteD1_.data());
-        totalD2 += weightedSiteSum(siteD2_.data());
+        totalD1 += weightedSiteSumRange(siteD1_.data(), 0, p);
+        totalD2 += weightedSiteSumRange(siteD2_.data(), 0, p);
       }
     }
     *outSumLogLikelihood = total;
@@ -629,50 +536,39 @@ class CpuImpl : public Implementation {
 
   /// Level-order batching applies unless the instance was created
   /// synchronous-only (BGL_FLAG_COMPUTATION_SYNCH without ASYNCH). The
-  /// threaded subclasses fall back to the serial per-operation path in
+  /// threaded subclasses fall back to the serial per-operation order in
   /// that case so --sync runs define the reference bit pattern.
   bool levelOrderEnabled() const {
     return (config_.flags & BGL_FLAG_COMPUTATION_ASYNCH) != 0 ||
            (config_.flags & BGL_FLAG_COMPUTATION_SYNCH) == 0;
   }
 
-  /// Execute a batch of operations. The serial base runs them in order.
-  virtual void executeOperations(const BglOperation* ops, int count,
-                                 int cumulativeScaleIndex) {
-    for (int i = 0; i < count; ++i) {
-      obs::ScopedSpan span(recorder_, obs::Category::kOperation, kernelLabel());
-      executeOperation(ops[i], 0, config_.patternCount);
-      finishOperationScaling(ops[i], cumulativeScaleIndex);
-    }
-  }
-
-  /// Strip the partition tag: the first seven fields of
-  /// BglOperationByPartition are exactly a BglOperation.
-  static BglOperation baseOp(const BglOperationByPartition& op) {
-    return BglOperation{op.destinationPartials,    op.destinationScaleWrite,
-                        op.destinationScaleRead,   op.child1Partials,
-                        op.child1TransitionMatrix, op.child2Partials,
-                        op.child2TransitionMatrix};
-  }
-
-  /// Execute a partitioned batch. The serial base runs operations in
-  /// order, each restricted to its partition's pattern range — the
-  /// reference FP sequence the level-order paths must reproduce.
+  /// Execute a validated batch. The serial base runs operations in order,
+  /// each over its slot's pattern range — the reference FP sequence the
+  /// level-order paths must reproduce.
   virtual void executePartitionedOperations(const BglOperationByPartition* ops,
                                             int count, int cumulativeScaleIndex) {
     for (int i = 0; i < count; ++i) {
       obs::ScopedSpan span(recorder_, obs::Category::kOperation, kernelLabel());
-      const BglOperation op = baseOp(ops[i]);
-      const int kBegin = partBegin_[ops[i].partition];
-      const int kEnd = partEnd_[ops[i].partition];
-      executeOperation(op, kBegin, kEnd);
-      rescaleOperationRange(op, kBegin, kEnd);
-      accumulateOperationScaleRange(op, cumulativeScaleIndex, kBegin, kEnd);
+      executeWholeOperation(ops[i]);
+      rescaleOperation(ops[i]);
+      accumulateOperationScale(ops[i], cumulativeScaleIndex);
     }
   }
 
-  /// Compute one operation over a pattern range (thread-splittable).
-  void executeOperation(const BglOperation& op, int kBegin, int kEnd) {
+  /// Block t of the operation's slot range cut into nt equal blocks
+  /// (trailing blocks may be short or empty).
+  std::pair<int, int> opBlock(const BglOperationByPartition& op, int t, int nt) const {
+    return patternBlock(partBegin_[op.partition], partEnd_[op.partition], nt, t);
+  }
+
+  void executeWholeOperation(const BglOperationByPartition& op) {
+    executeOperation(op, partBegin_[op.partition], partEnd_[op.partition]);
+  }
+
+  /// Compute one operation over a pattern sub-range of its slot
+  /// (thread-splittable).
+  void executeOperation(const BglOperationByPartition& op, int kBegin, int kEnd) {
     const int p = config_.patternCount;
     const int c = config_.categoryCount;
     const int s = config_.stateCount;
@@ -698,58 +594,37 @@ class CpuImpl : public Implementation {
     }
   }
 
-  /// Rescaling + cumulative accumulation after an operation completes.
-  /// The level-order threaded paths split the two halves: rescales run at
-  /// the end of each level, accumulations at the end of the whole batch in
-  /// original operation order (the same FP sequence as this serial path —
-  /// see api/levelize.h).
-  void finishOperationScaling(const BglOperation& op, int cumulativeScaleIndex) {
-    rescaleOperation(op);
-    accumulateOperationScale(op, cumulativeScaleIndex);
-  }
-
-  void rescaleOperation(const BglOperation& op) {
-    rescaleOperationRange(op, 0, config_.patternCount);
-  }
-
-  void rescaleOperationRange(const BglOperation& op, int kBegin, int kEnd) {
+  /// Rescale the operation's slot range of its destination. The level-order
+  /// threaded paths run rescales at the end of each level and defer
+  /// accumulateOperationScale to the end of the batch, in original
+  /// operation order (the serial FP sequence — see api/levelize.h).
+  void rescaleOperation(const BglOperationByPartition& op) {
     if (op.destinationScaleWrite == BGL_OP_NONE) return;
     obs::ScopedSpan span(recorder_, obs::Category::kRescale, "rescale");
     recorder_.count(obs::Counter::kRescaleEvents);
     Real* dest = partials_[op.destinationPartials].data();
     Real* scale = scale_[op.destinationScaleWrite].data();
     rescaleScalar<Real>(dest, scale, config_.patternCount, config_.categoryCount,
-                        config_.stateCount, kBegin, kEnd);
+                        config_.stateCount, partBegin_[op.partition],
+                        partEnd_[op.partition]);
   }
 
-  void accumulateOperationScale(const BglOperation& op, int cumulativeScaleIndex) {
-    accumulateOperationScaleRange(op, cumulativeScaleIndex, 0,
-                                  config_.patternCount);
-  }
-
-  void accumulateOperationScaleRange(const BglOperation& op,
-                                     int cumulativeScaleIndex, int kBegin,
-                                     int kEnd) {
+  void accumulateOperationScale(const BglOperationByPartition& op,
+                                int cumulativeScaleIndex) {
     if (op.destinationScaleWrite == BGL_OP_NONE || cumulativeScaleIndex == BGL_OP_NONE) {
       return;
     }
     Real* cum = scale_[cumulativeScaleIndex].data();
     const Real* scale = scale_[op.destinationScaleWrite].data();
-    for (int k = kBegin; k < kEnd; ++k) cum[k] += scale[k];
+    for (int k = partBegin_[op.partition]; k < partEnd_[op.partition]; ++k) {
+      cum[k] += scale[k];
+    }
   }
 
-  /// Root-site integration over all patterns (thread-pool overrides this —
-  /// Section VI-C parallelizes the root likelihood too).
-  virtual void computeRootSites(const Real* partials, const Real* freqs,
-                                const Real* weights, const Real* cumScale) {
-    rootLikelihoodScalar<Real>(partials, freqs, weights, cumScale, siteLogL_.data(),
-                               config_.patternCount, config_.categoryCount,
-                               config_.stateCount, 0, config_.patternCount);
-  }
-
-  /// Ranged root-site integration for one partition. Per-pattern math is
-  /// position-independent, so the scalar kernel over [kBegin, kEnd)
-  /// reproduces a per-partition instance's computeRootSites bit for bit.
+  /// Root-site integration over one slot's pattern range. Per-pattern math
+  /// is position-independent, so the scalar kernel over [kBegin, kEnd)
+  /// reproduces a per-partition instance bit for bit. The thread pool
+  /// overrides this (Section VI-C parallelizes the root likelihood too).
   virtual void computeRootSitesRange(const Real* partials, const Real* freqs,
                                      const Real* weights, const Real* cumScale,
                                      int kBegin, int kEnd) {
@@ -804,44 +679,25 @@ class CpuImpl : public Implementation {
   }
   int autoCumulativeIndex() const { return config_.scaleBufferCount - 1; }
 
-  int validateOperations(const BglOperation* ops, int count,
-                         int cumulativeScaleIndex) const {
-    if (cumulativeScaleIndex != BGL_OP_NONE && !validScale(cumulativeScaleIndex)) {
-      return BGL_ERROR_OUT_OF_RANGE;
-    }
+  /// Fold scale buffers into a cumulative one, sign * source per pattern in
+  /// array order. Every index is checked before the first write, so a
+  /// rejected call leaves the cumulative buffer untouched.
+  int foldScaleFactors(const int* scaleIndices, int count, int cumulativeScaleIndex,
+                       Real sign) {
     for (int i = 0; i < count; ++i) {
-      const auto& op = ops[i];
-      if (op.destinationPartials < config_.tipCount ||
-          op.destinationPartials >= config_.bufferCount()) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
-      for (int child : {op.child1Partials, op.child2Partials}) {
-        if (child < 0 || child >= config_.bufferCount()) return BGL_ERROR_OUT_OF_RANGE;
-        if (tipStates_[child].empty() && partials_[child].empty()) {
-          // must have been produced by an earlier op in this batch
-          bool produced = false;
-          for (int j = 0; j < i; ++j) produced |= ops[j].destinationPartials == child;
-          if (!produced) return BGL_ERROR_OUT_OF_RANGE;
-        }
-      }
-      for (int m : {op.child1TransitionMatrix, op.child2TransitionMatrix}) {
-        if (m < 0 || m >= config_.matrixBufferCount) return BGL_ERROR_OUT_OF_RANGE;
-      }
-      if (op.destinationScaleWrite != BGL_OP_NONE &&
-          !validScale(op.destinationScaleWrite)) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
+      if (!validScale(scaleIndices[i])) return BGL_ERROR_OUT_OF_RANGE;
+    }
+    auto& cum = scale_[cumulativeScaleIndex];
+    for (int i = 0; i < count; ++i) {
+      const auto& src = scale_[scaleIndices[i]];
+      for (int k = 0; k < config_.patternCount; ++k) cum[k] += sign * src[k];
     }
     return BGL_SUCCESS;
   }
 
-  double weightedSiteSum(const Real* site) const {
-    return weightedSiteSumRange(site, 0, config_.patternCount);
-  }
-
-  /// Serial ascending weighted sum over a pattern range — the partition's
+  /// Serial ascending weighted sum over a pattern range — a partition's
   /// patterns occupy [kBegin, kEnd) of the concatenated axis, so this is
-  /// the same FP sequence as a per-partition instance's weightedSiteSum.
+  /// the same FP sequence a per-partition instance produces.
   double weightedSiteSumRange(const Real* site, int kBegin, int kEnd) const {
     double sum = 0.0;
     for (int k = kBegin; k < kEnd; ++k) {
@@ -850,16 +706,14 @@ class CpuImpl : public Implementation {
     return sum;
   }
 
-  int validatePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) const {
+  int validateOperations(const BglOperationByPartition* ops, int count,
+                         int cumulativeScaleIndex) const {
     if (cumulativeScaleIndex != BGL_OP_NONE && !validScale(cumulativeScaleIndex)) {
       return BGL_ERROR_OUT_OF_RANGE;
     }
     for (int i = 0; i < count; ++i) {
       const auto& op = ops[i];
-      if (op.partition < 0 || op.partition >= partitionCount_) {
-        return BGL_ERROR_OUT_OF_RANGE;
-      }
+      if (!validSlot(op.partition)) return BGL_ERROR_OUT_OF_RANGE;
       if (op.destinationPartials < config_.tipCount ||
           op.destinationPartials >= config_.bufferCount()) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -867,6 +721,7 @@ class CpuImpl : public Implementation {
       for (int child : {op.child1Partials, op.child2Partials}) {
         if (child < 0 || child >= config_.bufferCount()) return BGL_ERROR_OUT_OF_RANGE;
         if (tipStates_[child].empty() && partials_[child].empty()) {
+          // must have been produced by an earlier op in this batch
           bool produced = false;
           for (int j = 0; j < i; ++j) produced |= ops[j].destinationPartials == child;
           if (!produced) return BGL_ERROR_OUT_OF_RANGE;
@@ -894,12 +749,6 @@ class CpuImpl : public Implementation {
   std::vector<AlignedVector<Real>> weights_;
   std::vector<std::vector<double>> rates_;  // by eigen slot
   std::vector<double> patternWeights_;
-
-  // Multi-partition state (setPatternPartitions): partition q covers
-  // concatenated patterns [partBegin_[q], partEnd_[q]).
-  int partitionCount_ = 1;
-  std::vector<int> partBegin_{0};
-  std::vector<int> partEnd_;
   std::vector<AlignedVector<Real>> scale_;
   AlignedVector<Real> siteLogL_, siteD1_, siteD2_;
 

@@ -3,25 +3,32 @@
 //  FuturesImpl       (VI-A) one std::async future per topology-independent
 //                    partials operation; no intra-operation parallelism.
 //  ThreadCreateImpl  (VI-B) threads created and joined per updatePartials
-//                    call, splitting the pattern range into equal blocks;
-//                    a 512-pattern minimum prevents small problems from
-//                    regressing below the serial implementation.
+//                    call, splitting each operation's pattern range into
+//                    equal blocks; a 512-pattern minimum prevents small
+//                    problems from regressing below the serial
+//                    implementation.
 //  ThreadPoolImpl    (VI-C) a persistent pool fed through a work queue;
 //                    additionally parallelizes the root-likelihood
 //                    integration across patterns. This is the shipping
 //                    threaded model (Table III shows why).
 //
-// All three batch level-order (api/levelize.h) unless the instance was
-// created synchronous-only: operations of one dependency level dispatch
-// together — for the intra-operation threaded models as one (operation,
-// pattern-block) grid per level instead of one join per operation —
-// rescales run at the end of each level, and cumulative scale
-// accumulation is deferred to the end of the batch in original operation
-// order, so results stay bit-identical to the serial path.
+// Each model has one execution path, the partitioned one: a partition-blind
+// batch arrives with every operation on the whole-axis slot of the range
+// table (api/implementation.h). All three batch level-order (api/levelize.h)
+// unless the instance was created synchronous-only or the batch repeats a
+// scale target: operations of one dependency level dispatch together — for
+// the intra-operation threaded models as one (operation, block-within-range)
+// grid per level instead of one join per operation — rescales run at the end
+// of each level, and cumulative scale accumulation is deferred to the end of
+// the batch in original operation order, so results stay bit-identical to
+// the serial path. Otherwise the batch runs in serial operation order, each
+// operation's range still split across threads.
 #pragma once
 
+#include <algorithm>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/levelize.h"
@@ -49,16 +56,15 @@ class FuturesImpl : public CpuImpl<Real> {
   }
 
  protected:
-  void executeOperations(const BglOperation* ops, int count,
-                         int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUnique(ops, count)) {
-      CpuImpl<Real>::executeOperations(ops, count, cumulativeScaleIndex);
+  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
+                                    int cumulativeScaleIndex) override {
+    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
+      CpuImpl<Real>::executePartitionedOperations(ops, count, cumulativeScaleIndex);
       return;
     }
-    const int patterns = this->config_.patternCount;
     std::vector<int> level;
-    const int maxLevel = levelizeOperations(ops, count, level);
-
+    const int maxLevel =
+        levelizeOperationsByPartition(ops, count, this->slotCount(), level);
     for (int lv = 0; lv <= maxLevel; ++lv) {
       std::vector<std::future<void>> futures;
       for (int i = 0; i < count; ++i) {
@@ -68,13 +74,13 @@ class FuturesImpl : public CpuImpl<Real> {
           // Run the final member of the level inline.
           obs::ScopedSpan span(this->recorder_, obs::Category::kOperation,
                                this->kernelLabel());
-          this->executeOperation(ops[i], 0, patterns);
+          this->executeWholeOperation(ops[i]);
           continue;
         }
-        futures.push_back(std::async(std::launch::async, [this, &ops, i, patterns] {
+        futures.push_back(std::async(std::launch::async, [this, &ops, i] {
           obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
                                this->kernelLabel(), i + 1);
-          this->executeOperation(ops[i], 0, patterns);
+          this->executeWholeOperation(ops[i]);
         }));
       }
       for (auto& f : futures) f.get();
@@ -85,53 +91,6 @@ class FuturesImpl : public CpuImpl<Real> {
     // Deferred accumulation in batch order — the serial FP sequence.
     for (int i = 0; i < count; ++i) {
       this->accumulateOperationScale(ops[i], cumulativeScaleIndex);
-    }
-  }
-
-  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
-      CpuImpl<Real>::executePartitionedOperations(ops, count, cumulativeScaleIndex);
-      return;
-    }
-    std::vector<int> level;
-    const int maxLevel = levelizeOperationsByPartition(
-        ops, count, this->partitionCount_, level);
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < count; ++i) {
-        if (level[i] != lv) continue;
-        this->ensurePartials(ops[i].destinationPartials);
-        const BglOperation op = this->baseOp(ops[i]);
-        const int kBegin = this->partBegin_[ops[i].partition];
-        const int kEnd = this->partEnd_[ops[i].partition];
-        if (static_cast<int>(futures.size()) + 1 >= maxConcurrent_) {
-          obs::ScopedSpan span(this->recorder_, obs::Category::kOperation,
-                               this->kernelLabel());
-          this->executeOperation(op, kBegin, kEnd);
-          continue;
-        }
-        futures.push_back(
-            std::async(std::launch::async, [this, op, i, kBegin, kEnd] {
-              obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                   this->kernelLabel(), i + 1);
-              this->executeOperation(op, kBegin, kEnd);
-            }));
-      }
-      for (auto& f : futures) f.get();
-      for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) {
-          this->rescaleOperationRange(this->baseOp(ops[i]),
-                                      this->partBegin_[ops[i].partition],
-                                      this->partEnd_[ops[i].partition]);
-        }
-      }
-    }
-    for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScaleRange(this->baseOp(ops[i]),
-                                          cumulativeScaleIndex,
-                                          this->partBegin_[ops[i].partition],
-                                          this->partEnd_[ops[i].partition]);
     }
   }
 
@@ -152,16 +111,17 @@ class ThreadCreateImpl : public CpuImpl<Real> {
   }
 
  protected:
-  void executeOperations(const BglOperation* ops, int count,
-                         int cumulativeScaleIndex) override {
-    const int patterns = this->config_.patternCount;
-    if (!this->levelOrderEnabled() || !scaleWritesUnique(ops, count)) {
+  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
+                                    int cumulativeScaleIndex) override {
+    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
       executeSerialOrder(ops, count, cumulativeScaleIndex);
       return;
     }
     std::vector<int> level;
-    const int maxLevel = levelizeOperations(ops, count, level);
+    const int maxLevel =
+        levelizeOperationsByPartition(ops, count, this->slotCount(), level);
     std::vector<int> members;
+    const int nt = threads_;
     for (int lv = 0; lv <= maxLevel; ++lv) {
       members.clear();
       for (int i = 0; i < count; ++i) {
@@ -170,24 +130,19 @@ class ThreadCreateImpl : public CpuImpl<Real> {
       for (int i : members) this->ensurePartials(ops[i].destinationPartials);
       obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
                              this->kernelLabel());
-      if (patterns < kMinPatternsForThreading || threads_ <= 1) {
-        for (int i : members) this->executeOperation(ops[i], 0, patterns);
+      if (!threaded()) {
+        for (int i : members) this->executeWholeOperation(ops[i]);
       } else {
         // One thread team per LEVEL rather than per operation: the grid is
-        // (operation, pattern-block) cells, handed out round-robin, so a
-        // level of small operations still costs one create/join cycle.
-        const int nt = threads_;
-        const int block = (patterns + nt - 1) / nt;
+        // (operation, block-within-range) cells, handed out round-robin, so
+        // a level of small operations still costs one create/join cycle.
         const int cells = static_cast<int>(members.size()) * nt;
         const int teamSize = std::min(nt, cells);
-        auto runCells = [this, &ops, &members, nt, block, patterns,
-                         cells](int first, int stride) {
+        auto runCells = [this, &ops, &members, nt, cells](int first, int stride) {
           for (int cell = first; cell < cells; cell += stride) {
-            const int i = members[static_cast<std::size_t>(cell / nt)];
-            const int t = cell % nt;
-            const int kBegin = t * block;
-            const int kEnd = std::min(patterns, kBegin + block);
-            if (kBegin < kEnd) this->executeOperation(ops[i], kBegin, kEnd);
+            const auto& op = ops[members[static_cast<std::size_t>(cell / nt)]];
+            const auto [kBegin, kEnd] = this->opBlock(op, cell % nt, nt);
+            if (kBegin < kEnd) this->executeOperation(op, kBegin, kEnd);
           }
         };
         std::vector<std::thread> workers;
@@ -209,99 +164,37 @@ class ThreadCreateImpl : public CpuImpl<Real> {
     }
   }
 
-  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count) ||
-        this->config_.patternCount < kMinPatternsForThreading || threads_ <= 1) {
-      CpuImpl<Real>::executePartitionedOperations(ops, count, cumulativeScaleIndex);
-      return;
-    }
-    std::vector<int> level;
-    const int maxLevel = levelizeOperationsByPartition(
-        ops, count, this->partitionCount_, level);
-    std::vector<int> members;
-    const int nt = threads_;
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      members.clear();
-      for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) members.push_back(i);
-      }
-      for (int i : members) this->ensurePartials(ops[i].destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      // (operation, block-within-partition-range) cells: each member op
-      // splits its own [begin, end) into nt blocks, so a level mixing
-      // large and small partitions still shares one create/join cycle.
-      const int cells = static_cast<int>(members.size()) * nt;
-      const int teamSize = std::min(nt, cells);
-      if (teamSize < 1) continue;
-      auto runCells = [this, &ops, &members, nt, cells](int first, int stride) {
-        for (int cell = first; cell < cells; cell += stride) {
-          const int i = members[static_cast<std::size_t>(cell / nt)];
-          const int t = cell % nt;
-          const int b = this->partBegin_[ops[i].partition];
-          const int e = this->partEnd_[ops[i].partition];
-          const int block = (e - b + nt - 1) / nt;
-          const int kBegin = b + t * block;
-          const int kEnd = std::min(e, kBegin + block);
-          if (kBegin < kEnd) this->executeOperation(this->baseOp(ops[i]), kBegin, kEnd);
-        }
-      };
-      std::vector<std::thread> workers;
-      workers.reserve(teamSize - 1);
-      for (int w = 1; w < teamSize; ++w) {
-        workers.emplace_back([this, runCells, w, teamSize] {
-          obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                               this->kernelLabel(), w);
-          runCells(w, teamSize);
-        });
-      }
-      runCells(0, teamSize);
-      for (auto& w : workers) w.join();
-      for (int i : members) {
-        this->rescaleOperationRange(this->baseOp(ops[i]),
-                                    this->partBegin_[ops[i].partition],
-                                    this->partEnd_[ops[i].partition]);
-      }
-    }
-    for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScaleRange(this->baseOp(ops[i]),
-                                          cumulativeScaleIndex,
-                                          this->partBegin_[ops[i].partition],
-                                          this->partEnd_[ops[i].partition]);
-    }
+ private:
+  bool threaded() const {
+    return this->config_.patternCount >= kMinPatternsForThreading && threads_ > 1;
   }
 
- private:
-  void executeSerialOrder(const BglOperation* ops, int count,
+  /// Serial operation order; each operation's range is split into equal
+  /// blocks with one freshly created thread per block.
+  void executeSerialOrder(const BglOperationByPartition* ops, int count,
                           int cumulativeScaleIndex) {
-    const int patterns = this->config_.patternCount;
+    const int nt = threaded() ? threads_ : 1;
     for (int i = 0; i < count; ++i) {
-      this->ensurePartials(ops[i].destinationPartials);
+      const auto& op = ops[i];
+      this->ensurePartials(op.destinationPartials);
       obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
                              this->kernelLabel());
-      if (patterns < kMinPatternsForThreading || threads_ <= 1) {
-        this->executeOperation(ops[i], 0, patterns);
-      } else {
-        // Equal-size pattern blocks, one freshly created thread each.
-        const int nt = threads_;
-        const int block = (patterns + nt - 1) / nt;
-        std::vector<std::thread> workers;
-        workers.reserve(nt - 1);
-        for (int t = 1; t < nt; ++t) {
-          const int kBegin = t * block;
-          const int kEnd = std::min(patterns, kBegin + block);
-          if (kBegin >= kEnd) break;
-          workers.emplace_back([this, &ops, i, t, kBegin, kEnd] {
-            obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                 this->kernelLabel(), t);
-            this->executeOperation(ops[i], kBegin, kEnd);
-          });
-        }
-        this->executeOperation(ops[i], 0, std::min(patterns, block));
-        for (auto& w : workers) w.join();
+      std::vector<std::thread> workers;
+      workers.reserve(nt - 1);
+      for (int t = 1; t < nt; ++t) {
+        const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
+        if (kBegin >= kEnd) break;
+        workers.emplace_back([this, &op, t, kBegin = kBegin, kEnd = kEnd] {
+          obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
+                               this->kernelLabel(), t);
+          this->executeOperation(op, kBegin, kEnd);
+        });
       }
-      this->finishOperationScaling(ops[i], cumulativeScaleIndex);
+      const auto [kBegin, kEnd] = this->opBlock(op, 0, nt);
+      this->executeOperation(op, kBegin, kEnd);
+      for (auto& w : workers) w.join();
+      this->rescaleOperation(op);
+      this->accumulateOperationScale(op, cumulativeScaleIndex);
     }
   }
 
@@ -329,16 +222,17 @@ class ThreadPoolImpl : public CpuImpl<Real> {
   }
 
  protected:
-  void executeOperations(const BglOperation* ops, int count,
-                         int cumulativeScaleIndex) override {
-    const int patterns = this->config_.patternCount;
-    if (!this->levelOrderEnabled() || !scaleWritesUnique(ops, count)) {
+  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
+                                    int cumulativeScaleIndex) override {
+    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
       executeSerialOrder(ops, count, cumulativeScaleIndex);
       return;
     }
     std::vector<int> level;
-    const int maxLevel = levelizeOperations(ops, count, level);
+    const int maxLevel =
+        levelizeOperationsByPartition(ops, count, this->slotCount(), level);
     std::vector<int> members;
+    const int nt = threads_;
     for (int lv = 0; lv <= maxLevel; ++lv) {
       members.clear();
       for (int i = 0; i < count; ++i) {
@@ -347,25 +241,21 @@ class ThreadPoolImpl : public CpuImpl<Real> {
       for (int i : members) this->ensurePartials(ops[i].destinationPartials);
       obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
                              this->kernelLabel());
-      if (patterns < kMinPatternsForThreading || threads_ <= 1) {
-        for (int i : members) this->executeOperation(ops[i], 0, patterns);
+      if (!threaded()) {
+        for (int i : members) this->executeWholeOperation(ops[i]);
       } else {
-        // One pool dispatch per LEVEL over (operation, pattern-block)
+        // One pool dispatch per LEVEL over (operation, block-within-range)
         // cells — the work-stealing loop balances unequal operations.
-        const int nt = threads_;
-        const int block = (patterns + nt - 1) / nt;
-        const int cells = static_cast<int>(members.size()) * nt;
         pool_->parallelFor(
-            cells,
-            [this, &ops, &members, nt, block, patterns](int cell) {
-              const int i = members[static_cast<std::size_t>(cell / nt)];
+            static_cast<int>(members.size()) * nt,
+            [this, &ops, &members, nt](int cell) {
+              const auto& op = ops[members[static_cast<std::size_t>(cell / nt)]];
               const int t = cell % nt;
-              const int kBegin = t * block;
-              const int kEnd = std::min(patterns, kBegin + block);
+              const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
               if (kBegin < kEnd) {
                 obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
                                      this->kernelLabel(), t);
-                this->executeOperation(ops[i], kBegin, kEnd);
+                this->executeOperation(op, kBegin, kEnd);
               }
             },
             static_cast<unsigned>(nt));
@@ -377,116 +267,63 @@ class ThreadPoolImpl : public CpuImpl<Real> {
     }
   }
 
-  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count) ||
-        this->config_.patternCount < kMinPatternsForThreading || threads_ <= 1) {
-      CpuImpl<Real>::executePartitionedOperations(ops, count, cumulativeScaleIndex);
-      return;
-    }
-    std::vector<int> level;
-    const int maxLevel = levelizeOperationsByPartition(
-        ops, count, this->partitionCount_, level);
-    std::vector<int> members;
-    const int nt = threads_;
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      members.clear();
-      for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) members.push_back(i);
-      }
-      for (int i : members) this->ensurePartials(ops[i].destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      // One pool dispatch per level over (operation, block-within-range)
-      // cells; each op splits its own partition range into nt blocks.
-      const int cells = static_cast<int>(members.size()) * nt;
-      if (cells < 1) continue;
-      pool_->parallelFor(
-          cells,
-          [this, &ops, &members, nt](int cell) {
-            const int i = members[static_cast<std::size_t>(cell / nt)];
-            const int t = cell % nt;
-            const int b = this->partBegin_[ops[i].partition];
-            const int e = this->partEnd_[ops[i].partition];
-            const int block = (e - b + nt - 1) / nt;
-            const int kBegin = b + t * block;
-            const int kEnd = std::min(e, kBegin + block);
-            if (kBegin < kEnd) {
-              obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                   this->kernelLabel(), t);
-              this->executeOperation(this->baseOp(ops[i]), kBegin, kEnd);
-            }
-          },
-          static_cast<unsigned>(nt));
-      for (int i : members) {
-        this->rescaleOperationRange(this->baseOp(ops[i]),
-                                    this->partBegin_[ops[i].partition],
-                                    this->partEnd_[ops[i].partition]);
-      }
-    }
-    for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScaleRange(this->baseOp(ops[i]),
-                                          cumulativeScaleIndex,
-                                          this->partBegin_[ops[i].partition],
-                                          this->partEnd_[ops[i].partition]);
-    }
-  }
-
   /// The pool approach also threads the root-likelihood integration
   /// across independent site patterns (Section VI-C).
-  void computeRootSites(const Real* partials, const Real* freqs,
-                        const Real* weights, const Real* cumScale) override {
-    const int patterns = this->config_.patternCount;
-    if (patterns < kMinPatternsForThreading || threads_ <= 1) {
-      CpuImpl<Real>::computeRootSites(partials, freqs, weights, cumScale);
+  void computeRootSitesRange(const Real* partials, const Real* freqs,
+                             const Real* weights, const Real* cumScale, int begin,
+                             int end) override {
+    if (end - begin < kMinPatternsForThreading || threads_ <= 1) {
+      CpuImpl<Real>::computeRootSitesRange(partials, freqs, weights, cumScale, begin,
+                                           end);
       return;
     }
     const int nt = threads_;
-    const int block = (patterns + nt - 1) / nt;
     pool_->parallelFor(
         nt,
-        [this, partials, freqs, weights, cumScale, block, patterns](int t) {
-          const int kBegin = t * block;
-          const int kEnd = std::min(patterns, kBegin + block);
+        [this, partials, freqs, weights, cumScale, begin, end, nt](int t) {
+          const auto [kBegin, kEnd] = patternBlock(begin, end, nt, t);
           if (kBegin < kEnd) {
             obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
                                  "rootSites", t);
-            rootLikelihoodScalar<Real>(partials, freqs, weights, cumScale,
-                                       this->siteLogL_.data(), patterns,
-                                       this->config_.categoryCount,
-                                       this->config_.stateCount, kBegin, kEnd);
+            CpuImpl<Real>::computeRootSitesRange(partials, freqs, weights, cumScale,
+                                                 kBegin, kEnd);
           }
         },
         static_cast<unsigned>(nt));
   }
 
  private:
-  void executeSerialOrder(const BglOperation* ops, int count,
+  bool threaded() const {
+    return this->config_.patternCount >= kMinPatternsForThreading && threads_ > 1;
+  }
+
+  /// Serial operation order; each operation's range is split across the
+  /// pool.
+  void executeSerialOrder(const BglOperationByPartition* ops, int count,
                           int cumulativeScaleIndex) {
-    const int patterns = this->config_.patternCount;
+    const int nt = threads_;
     for (int i = 0; i < count; ++i) {
-      this->ensurePartials(ops[i].destinationPartials);
+      const auto& op = ops[i];
+      this->ensurePartials(op.destinationPartials);
       obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
                              this->kernelLabel());
-      if (patterns < kMinPatternsForThreading || threads_ <= 1) {
-        this->executeOperation(ops[i], 0, patterns);
+      if (!threaded()) {
+        this->executeWholeOperation(op);
       } else {
-        const int nt = threads_;
-        const int block = (patterns + nt - 1) / nt;
         pool_->parallelFor(
             nt,
-            [this, &ops, i, block, patterns](int t) {
-              const int kBegin = t * block;
-              const int kEnd = std::min(patterns, kBegin + block);
+            [this, &op, nt](int t) {
+              const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
               if (kBegin < kEnd) {
                 obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
                                      this->kernelLabel(), t);
-                this->executeOperation(ops[i], kBegin, kEnd);
+                this->executeOperation(op, kBegin, kEnd);
               }
             },
             static_cast<unsigned>(nt));
       }
-      this->finishOperationScaling(ops[i], cumulativeScaleIndex);
+      this->rescaleOperation(op);
+      this->accumulateOperationScale(op, cumulativeScaleIndex);
     }
   }
 

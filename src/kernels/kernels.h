@@ -18,20 +18,17 @@
 //
 // Argument slot layout per kernel (buffers `b`, ints `i`, reals `r`):
 //
-//  PartialsPartials / StatesPartials / StatesStates
-//    b0 dest partials [C][P][S]
-//    b1 child1 partials (Real*) or states (int32*)
-//    b2 child1 transition matrices [C][S][S]
-//    b3 child2 partials (Real*) or states (int32*)
-//    b4 child2 transition matrices [C][S][S]
+//  PartialsPartials / StatesPartials / StatesStates (one launch per batch
+//  of i4 >= 1 operations, each over its own pattern range)
+//    b5 pointer table, 5 entries per op: dest partials [C][P][S], child1
+//       partials (Real*) or states (int32*), child1 transition matrices
+//       [C][S][S], child2 partials or states, child2 matrices
+//    b6 int32 range table, 4 entries per op {rangeBegin, rangeEnd,
+//       groupOffset, patternBlocks}; each op spans patternBlocks *
+//       categories groups starting at its groupOffset and computes only
+//       its pattern range
 //    i0 patterns  i1 categories  i2 states  i3 patternsPerGroup
-//    Fused level batch (i4 = op count > 0): b0..b4 are ignored; b5 is a
-//    pointer table with 5 entries per op (dest, child1, m1, child2, m2)
-//    and the grid is opCount * patternBlocks * categories groups.
-//    Partitioned fused batch (i4 > 0 AND i5 != 0): additionally b6 is an
-//    int32 table with 4 entries per op {rangeBegin, rangeEnd, groupOffset,
-//    patternBlocks}; each op spans patternBlocks * categories groups
-//    starting at its groupOffset and computes only its pattern range.
+//    i4 op count; grid = sum over ops of patternBlocks * categories
 //
 //  TransitionMatrices / TransitionMatricesDerivs (one launch per edge batch)
 //    b0 matrix pool base; each edge writes P [C][S][S] at its index
@@ -52,8 +49,8 @@
 //    b3 site log-likelihoods out [P] (Real)
 //    b4 cumulative scale factors [P] or null
 //    i0 patterns  i1 categories  i2 states  i3 patternsPerGroup
-//    Ranged (i5 = range end > 0): integrate patterns [i4, i5) only, with
-//    block 0 at i4 (one partition of a concatenated pattern axis).
+//    i4, i5 pattern range [i4, i5), block 0 at i4 (the whole axis or one
+//    partition of a concatenated pattern axis)
 //
 //  EdgeLikelihood
 //    b0 parent partials [C][P][S]
@@ -72,32 +69,28 @@
 //    b0 partials [C][P][S] (in/out)
 //    b1 scale factors out [P] (log space)
 //    i0 patterns  i1 categories  i2 states  i3 patternsPerGroup
-//    Ranged (i5 = range end > 0): rescale patterns [i4, i5) only.
+//    i4, i5 pattern range [i4, i5), block 0 at i4
 //
 //  AccumulateScale
-//    b0 cumulative [P]  b1 source [P]  i0 patterns  i1 sign (+1/-1)
-//    Batched multi-group (i2 = source count > 0): b1 is the scale pool
-//    base, b2 int32 scale-buffer indices with stride i3 reals, grid =
-//    pattern blocks of i4 patterns; sources accumulate in array order
-//    (bit-identical to the serial single-source sequence). Ranged batched
-//    (i6 = range end > 0): accumulate patterns [i5, i6) only.
+//    b0 cumulative [P]  b1 scale pool base  b2 int32 scale-buffer indices
+//    i1 sign (+1/-1)  i2 source count  i3 pool stride (reals)
+//    i4 patterns per group  i5, i6 pattern range [i5, i6)
+//    grid = pattern blocks of the range; sources accumulate in array order
+//    (bit-identical to the serial single-source sequence)
 //
 //  ResetScale
 //    b0 cumulative [P]  i0 patterns
 //    Multi-group (i1 = patterns per group > 0): grid over pattern blocks.
 //
-//  SumSiteLikelihoods
-//    b0 site log-likelihoods [P] (Real)
-//    b1 pattern weights [P] (Real)
-//    b2 out (double[1])
-//    i0 patterns
-//    Two-phase: phase 1 (i1 = block size > 0) writes per-block partial
-//    sums to b2[group]; phase 2 (i2 = block count > 0) has group 0 sum
-//    the doubles at b0 in ascending order into b2[0]. Fixed block size
-//    per pattern count => deterministic bracketing everywhere. Ranged
-//    phase 1 (i4 = range end > 0): blocks laid out from i3, covering
-//    patterns [i3, i4) — per-partition sums match a standalone
-//    per-partition buffer's bracketing exactly.
+//  SumSiteLikelihoods (two phases)
+//    Phase 1 (i1 = block size > 0): b0 site log-likelihoods [P] (Real),
+//    b1 pattern weights [P] (Real); writes per-block partial sums to
+//    b2[group], blocks laid out from i3 covering patterns [i3, i4) —
+//    per-partition sums match a standalone per-partition buffer's
+//    bracketing exactly.
+//    Phase 2 (i1 = 0): group 0 sums the i2 doubles at b0 in ascending
+//    order into b2[0]. Fixed block size => deterministic bracketing
+//    everywhere.
 #pragma once
 
 #include <cstddef>

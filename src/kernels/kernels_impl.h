@@ -174,80 +174,45 @@ template <typename Real, int StatesT, KernelVariant Variant, bool UseFma,
           ChildKind Child1, ChildKind Child2>
 void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   const int patterns = static_cast<int>(args.ints[0]);
+  const int categories = static_cast<int>(args.ints[1]);
   const int states = stateCount<StatesT>(args);
   const int ppg = static_cast<int>(args.ints[3]);
-  const int patternBlocks = (patterns + ppg - 1) / ppg;
 
-  // Fused level launch (ints[4] = operation count): groups come in spans of
-  // patternBlocks * categories, one span per operation, with each op's five
-  // buffer pointers in the table at buffers[5]. Each group then computes
-  // exactly what it would in a standalone launch for its operation, so a
-  // fused level is bit-identical to the per-op sequence.
+  // A launch covers ints[4] operations, each over its own pattern range
+  // [begin, end) (the whole axis or one partition of a concatenated axis),
+  // so ops contribute a VARIABLE number of groups. buffers[5] holds each
+  // op's five pointers; buffers[6] holds int32[4] per op: {rangeBegin,
+  // rangeEnd, groupOffset, patternBlocks}. The group id is decoded by binary
+  // search over the monotone groupOffset column. Every group computes
+  // exactly what a standalone launch for its op would, so fusing a level's
+  // operations stays bit-identical to the per-op sequence.
   const int batchOps = static_cast<int>(args.ints[4]);
   const int gid = wg.groupId;
-  Real* BGL_RESTRICT dest;
-  const void* child1;
-  const Real* BGL_RESTRICT gm1;
-  const void* child2;
-  const Real* BGL_RESTRICT gm2;
-  int pb, c, kBegin, kEnd;
-  if (batchOps > 0) {
-    const int categories = static_cast<int>(args.ints[1]);
-    int op, local;
-    if (args.ints[5] != 0) {
-      // Partitioned fused launch: each op covers its own pattern range
-      // [begin, end) of the concatenated axis, so ops contribute a
-      // VARIABLE number of groups. buffers[6] holds int32[4] per op:
-      // {rangeBegin, rangeEnd, groupOffset, patternBlocks}; the group id
-      // is decoded by binary search over the monotone groupOffset column.
-      // Every group still computes exactly what a standalone ranged
-      // launch for its op would, so the fusion stays bit-identical.
-      const auto* ranges = static_cast<const std::int32_t*>(args.buffers[6]);
-      int lo = 0, hi = batchOps - 1;
-      while (lo < hi) {
-        const int mid = (lo + hi + 1) / 2;
-        if (static_cast<int>(ranges[4 * mid + 2]) <= gid) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      op = lo;
-      local = gid - static_cast<int>(ranges[4 * op + 2]);
-      const int opBlocks = static_cast<int>(ranges[4 * op + 3]);
-      if (local < 0 || local >= opBlocks * categories) return;
-      pb = local % opBlocks;
-      c = local / opBlocks;
-      kBegin = static_cast<int>(ranges[4 * op]) + pb * ppg;
-      kEnd = std::min(static_cast<int>(ranges[4 * op + 1]), kBegin + ppg);
+  const auto* ranges = static_cast<const std::int32_t*>(args.buffers[6]);
+  int lo = 0, hi = batchOps - 1;
+  while (lo < hi) {
+    const int mid = (lo + hi + 1) / 2;
+    if (static_cast<int>(ranges[4 * mid + 2]) <= gid) {
+      lo = mid;
     } else {
-      const int blocksPerOp = patternBlocks * categories;
-      op = gid / blocksPerOp;
-      if (op >= batchOps) return;
-      local = gid - op * blocksPerOp;
-      pb = local % patternBlocks;
-      c = local / patternBlocks;
-      kBegin = pb * ppg;
-      kEnd = std::min(patterns, kBegin + ppg);
+      hi = mid - 1;
     }
-    const void* const* tbl = static_cast<const void* const*>(args.buffers[5]) +
-                             static_cast<std::size_t>(op) * 5;
-    dest = static_cast<Real*>(const_cast<void*>(tbl[0]));
-    child1 = tbl[1];
-    gm1 = static_cast<const Real*>(tbl[2]);
-    child2 = tbl[3];
-    gm2 = static_cast<const Real*>(tbl[4]);
-  } else {
-    dest = static_cast<Real*>(args.buffers[0]);
-    child1 = args.buffers[1];
-    gm1 = static_cast<const Real*>(args.buffers[2]);
-    child2 = args.buffers[3];
-    gm2 = static_cast<const Real*>(args.buffers[4]);
-    pb = gid % patternBlocks;
-    c = gid / patternBlocks;
-    kBegin = pb * ppg;
-    kEnd = std::min(patterns, kBegin + ppg);
   }
+  const int op = lo;
+  const int local = gid - static_cast<int>(ranges[4 * op + 2]);
+  const int opBlocks = static_cast<int>(ranges[4 * op + 3]);
+  if (local < 0 || local >= opBlocks * categories) return;
+  const int pb = local % opBlocks;
+  const int c = local / opBlocks;
+  const int kBegin = static_cast<int>(ranges[4 * op]) + pb * ppg;
+  const int kEnd = std::min(static_cast<int>(ranges[4 * op + 1]), kBegin + ppg);
+  const void* const* tbl = static_cast<const void* const*>(args.buffers[5]) +
+                           static_cast<std::size_t>(op) * 5;
+  Real* BGL_RESTRICT dest = static_cast<Real*>(const_cast<void*>(tbl[0]));
+  const void* child1 = tbl[1];
+  const Real* BGL_RESTRICT gm1 = static_cast<const Real*>(tbl[2]);
+  const void* child2 = tbl[3];
+  const Real* BGL_RESTRICT gm2 = static_cast<const Real*>(tbl[4]);
 
   const std::size_t matStride = static_cast<std::size_t>(states) * states;
   const Real* m1 = gm1 + static_cast<std::size_t>(c) * matStride;
@@ -519,14 +484,11 @@ void rootLikelihoodKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   Real* BGL_RESTRICT siteOut = static_cast<Real*>(args.buffers[3]);
   const Real* BGL_RESTRICT cumScale = static_cast<const Real*>(args.buffers[4]);
 
-  // Ranged mode (ints[5] = range end > 0): integrate only the pattern
-  // range [ints[4], ints[5]) — one partition of a concatenated axis. The
-  // per-pattern math is position-independent, so a ranged launch matches
-  // a whole-buffer launch bit for bit on the shared patterns.
-  const int rangeBegin = static_cast<int>(args.ints[4]);
-  const int rangeEnd = static_cast<int>(args.ints[5]);
-  const int kBegin = (rangeEnd > 0 ? rangeBegin : 0) + wg.groupId * ppg;
-  const int kEnd = std::min(rangeEnd > 0 ? rangeEnd : patterns, kBegin + ppg);
+  // Pattern range [ints[4], ints[5]): the whole axis or one partition of
+  // a concatenated axis. The per-pattern math is position-independent, so
+  // a partition's range matches a standalone instance bit for bit.
+  const int kBegin = static_cast<int>(args.ints[4]) + wg.groupId * ppg;
+  const int kEnd = std::min(static_cast<int>(args.ints[5]), kBegin + ppg);
 
   for (int k = kBegin; k < kEnd; ++k) {
     Real lik = Real(0);
@@ -650,12 +612,9 @@ void rescalePartialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   Real* BGL_RESTRICT partials = static_cast<Real*>(args.buffers[0]);
   Real* BGL_RESTRICT scale = static_cast<Real*>(args.buffers[1]);
 
-  // Ranged mode (ints[5] = range end > 0): rescale one partition's
-  // pattern range [ints[4], ints[5]) only.
-  const int rangeBegin = static_cast<int>(args.ints[4]);
-  const int rangeEnd = static_cast<int>(args.ints[5]);
-  const int kBegin = (rangeEnd > 0 ? rangeBegin : 0) + wg.groupId * ppg;
-  const int kEnd = std::min(rangeEnd > 0 ? rangeEnd : patterns, kBegin + ppg);
+  // Rescale the pattern range [ints[4], ints[5]) only.
+  const int kBegin = static_cast<int>(args.ints[4]) + wg.groupId * ppg;
+  const int kEnd = std::min(static_cast<int>(args.ints[5]), kBegin + ppg);
 
   for (int k = kBegin; k < kEnd; ++k) {
     Real maxv = Real(0);
@@ -679,42 +638,28 @@ void rescalePartialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
 
 template <typename Real>
 void accumulateScaleKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
-  const int patterns = static_cast<int>(args.ints[0]);
-  const Real sign = static_cast<Real>(args.ints[1]);
+  // Multi-source, multi-group: buffers[1] is the scale pool base,
+  // buffers[2] an int32 array of ints[2] scale-buffer indices (stride
+  // ints[3] reals), grid = pattern blocks of ints[4] patterns over the
+  // range [ints[5], ints[6]). Each pattern accumulates its sources in array
+  // order — the same per-element FP sequence as serial single-source
+  // launches, so the result is bit-identical.
   Real* BGL_RESTRICT cum = static_cast<Real*>(args.buffers[0]);
-
-  // Batched multi-group mode (ints[2] = source count): buffers[1] is the
-  // scale pool base, buffers[2] an int32 array of `count` scale-buffer
-  // indices (stride ints[3] reals), grid = pattern blocks of ints[4]
-  // patterns. Each pattern accumulates its sources in array order — the
-  // same per-element FP sequence as `count` serial single-source launches,
-  // so the result is bit-identical.
+  const Real sign = static_cast<Real>(args.ints[1]);
   const int count = static_cast<int>(args.ints[2]);
-  if (count > 0) {
-    const Real* BGL_RESTRICT pool = static_cast<const Real*>(args.buffers[1]);
-    const auto* BGL_RESTRICT idx = static_cast<const std::int32_t*>(args.buffers[2]);
-    const std::size_t stride = static_cast<std::size_t>(args.ints[3]);
-    const int ppg = static_cast<int>(args.ints[4]);
-    // Ranged mode (ints[6] = range end > 0): accumulate only the pattern
-    // range [ints[5], ints[6]) — one partition's slice of the shared
-    // cumulative buffer.
-    const int rangeBegin = static_cast<int>(args.ints[5]);
-    const int rangeEnd = static_cast<int>(args.ints[6]);
-    const int kBegin = (rangeEnd > 0 ? rangeBegin : 0) + wg.groupId * ppg;
-    const int kEnd = std::min(rangeEnd > 0 ? rangeEnd : patterns, kBegin + ppg);
-    for (int k = kBegin; k < kEnd; ++k) {
-      Real acc = cum[k];
-      for (int i = 0; i < count; ++i) {
-        acc += sign * pool[static_cast<std::size_t>(idx[i]) * stride + k];
-      }
-      cum[k] = acc;
+  const Real* BGL_RESTRICT pool = static_cast<const Real*>(args.buffers[1]);
+  const auto* BGL_RESTRICT idx = static_cast<const std::int32_t*>(args.buffers[2]);
+  const std::size_t stride = static_cast<std::size_t>(args.ints[3]);
+  const int ppg = static_cast<int>(args.ints[4]);
+  const int kBegin = static_cast<int>(args.ints[5]) + wg.groupId * ppg;
+  const int kEnd = std::min(static_cast<int>(args.ints[6]), kBegin + ppg);
+  for (int k = kBegin; k < kEnd; ++k) {
+    Real acc = cum[k];
+    for (int i = 0; i < count; ++i) {
+      acc += sign * pool[static_cast<std::size_t>(idx[i]) * stride + k];
     }
-    return;
+    cum[k] = acc;
   }
-
-  const Real* BGL_RESTRICT src = static_cast<const Real*>(args.buffers[1]);
-  if (wg.groupId != 0) return;
-  for (int k = 0; k < patterns; ++k) cum[k] += sign * src[k];
 }
 
 template <typename Real>
@@ -736,29 +681,21 @@ void resetScaleKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
 
 template <typename Real>
 void sumSiteLikelihoodsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
-  const int patterns = static_cast<int>(args.ints[0]);
-  const Real* BGL_RESTRICT site = static_cast<const Real*>(args.buffers[0]);
-  const Real* BGL_RESTRICT weights = static_cast<const Real*>(args.buffers[1]);
-  double* BGL_RESTRICT out = static_cast<double*>(args.buffers[2]);
-
   // Two-phase multi-group reduction. Phase 1 (ints[1] = block size > 0):
-  // group g writes the partial sum of its pattern block to out[g]. Phase 2
-  // (ints[2] = block count > 0): group 0 combines the partials at
-  // buffers[0] in ascending block order. The block size is a fixed
-  // function of the pattern count, so every implementation and both
-  // sync/async paths produce the identical bracketing.
+  // group g writes the partial sum of its pattern block to out[g], blocks
+  // laid out from the range start [ints[3], ints[4]) — block b of a
+  // partition's range sums exactly the patterns that block b of a
+  // standalone per-partition buffer would. Phase 2 (ints[2] = block count):
+  // group 0 combines the partials at buffers[0] in ascending block order.
+  // The block size is fixed, so every implementation and both sync/async
+  // paths produce the identical bracketing.
   const int blockSize = static_cast<int>(args.ints[1]);
+  double* BGL_RESTRICT out = static_cast<double*>(args.buffers[2]);
   if (blockSize > 0) {
-    // Ranged mode (ints[4] = range end > 0): phase-1 blocks are laid out
-    // relative to the range start [ints[3], ints[4]), so block b of a
-    // partition's range sums exactly the patterns that block b of a
-    // standalone per-partition buffer would — the phase-2 combine then
-    // reproduces the per-instance bracketing bit for bit.
-    const int rangeBegin = static_cast<int>(args.ints[3]);
-    const int rangeEnd = static_cast<int>(args.ints[4]);
-    const int kBegin = (rangeEnd > 0 ? rangeBegin : 0) + wg.groupId * blockSize;
-    const int kEnd = std::min(rangeEnd > 0 ? rangeEnd : patterns,
-                              kBegin + blockSize);
+    const Real* BGL_RESTRICT site = static_cast<const Real*>(args.buffers[0]);
+    const Real* BGL_RESTRICT weights = static_cast<const Real*>(args.buffers[1]);
+    const int kBegin = static_cast<int>(args.ints[3]) + wg.groupId * blockSize;
+    const int kEnd = std::min(static_cast<int>(args.ints[4]), kBegin + blockSize);
     if (kBegin >= kEnd) return;
     double sum = 0.0;
     for (int k = kBegin; k < kEnd; ++k)
@@ -766,20 +703,11 @@ void sumSiteLikelihoodsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
     out[wg.groupId] = sum;
     return;
   }
-  const int blockCount = static_cast<int>(args.ints[2]);
-  if (blockCount > 0) {
-    if (wg.groupId != 0) return;
-    const double* BGL_RESTRICT partial = static_cast<const double*>(args.buffers[0]);
-    double sum = 0.0;
-    for (int b = 0; b < blockCount; ++b) sum += partial[b];
-    out[0] = sum;
-    return;
-  }
-
   if (wg.groupId != 0) return;
+  const int blockCount = static_cast<int>(args.ints[2]);
+  const double* BGL_RESTRICT partial = static_cast<const double*>(args.buffers[0]);
   double sum = 0.0;
-  for (int k = 0; k < patterns; ++k)
-    sum += static_cast<double>(weights[k]) * static_cast<double>(site[k]);
+  for (int b = 0; b < blockCount; ++b) sum += partial[b];
   out[0] = sum;
 }
 

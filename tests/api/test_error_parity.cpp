@@ -5,6 +5,7 @@
 // one backend must keep working on all of them.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,10 @@ struct Config {
   const char* name;
   long requirementFlags;
 };
+
+// Without this gtest prints the parameter as raw bytes — including the
+// address of `name` — so the discovered ctest names would change per build.
+void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
 class ErrorParity : public ::testing::TestWithParam<Config> {
  protected:

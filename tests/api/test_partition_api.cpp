@@ -208,6 +208,64 @@ TEST(PartitionApi, UpdatePartialsByPartitionValidation) {
   bglFinalizeInstance(inst);
 }
 
+// The range table behind every instance carries one slot past the user
+// partitions, reserved for the partition-blind entry points: a user call
+// naming partition == partitionCount must stay out of range, on the CPU and
+// both accelerator families, before and after repartitioning.
+TEST(PartitionApi, PartitionIndexEqualToCountIsOutOfRange) {
+  for (const long family : {BGL_FLAG_FRAMEWORK_CPU, BGL_FLAG_FRAMEWORK_CUDA,
+                            BGL_FLAG_FRAMEWORK_OPENCL}) {
+    const int inst = bglCreateInstance(
+        kTips, kTips - 1, kTips, 4, kPatterns, kPartitions, kPartitions * kEdges,
+        kCategories, 0, nullptr, 0, 0, family | BGL_FLAG_PRECISION_DOUBLE, nullptr);
+    ASSERT_GE(inst, 0) << family;
+    setTips(inst);
+    const std::vector<double> rates(kCategories, 1.0);
+    setModelSlot(inst, 0, rates.data());
+    std::vector<int> eigen(kEdges, 0), prob(kEdges);
+    std::vector<double> lengths(kEdges, 0.1);
+    for (int e = 0; e < kEdges; ++e) prob[e] = e;
+    ASSERT_EQ(bglUpdateTransitionMatricesWithModels(inst, eigen.data(), nullptr,
+                                                    prob.data(), lengths.data(),
+                                                    kEdges),
+              BGL_SUCCESS);
+
+    BglOperationByPartition op{};
+    op.destinationPartials = kTips;
+    op.destinationScaleWrite = BGL_OP_NONE;
+    op.destinationScaleRead = BGL_OP_NONE;
+    op.child1Partials = 0;
+    op.child1TransitionMatrix = 0;
+    op.child2Partials = 1;
+    op.child2TransitionMatrix = 1;
+    const int root = kTips;
+    const int slot = 0;
+    double logL = 0.0;
+    auto expectCount = [&](int count) {
+      op.partition = count;
+      EXPECT_EQ(bglUpdatePartialsByPartition(inst, &op, 1, BGL_OP_NONE),
+                BGL_ERROR_OUT_OF_RANGE)
+          << family << " partitions " << count;
+      op.partition = count - 1;
+      EXPECT_EQ(bglUpdatePartialsByPartition(inst, &op, 1, BGL_OP_NONE), BGL_SUCCESS)
+          << family << " partitions " << count;
+      const int reserved = count;
+      EXPECT_EQ(bglCalculateRootLogLikelihoodsByPartition(
+                    inst, &root, &slot, &slot, nullptr, &reserved, 1, &logL, nullptr),
+                BGL_ERROR_OUT_OF_RANGE)
+          << family << " partitions " << count;
+    };
+
+    expectCount(1);  // a fresh instance has one partition
+    const auto map = contiguousMap();
+    ASSERT_EQ(bglSetPatternPartitions(inst, kPartitions, map.data()), BGL_SUCCESS);
+    expectCount(kPartitions);
+    ASSERT_EQ(bglSetPatternPartitions(inst, 1, nullptr), BGL_SUCCESS);
+    expectCount(1);
+    bglFinalizeInstance(inst);
+  }
+}
+
 TEST(PartitionApi, FullTwoPartitionEvaluation) {
   const int inst = makePartitionedInstance();
   ASSERT_GE(inst, 0);

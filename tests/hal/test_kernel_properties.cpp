@@ -102,22 +102,22 @@ std::vector<double> runKernel(const Problem& f, KernelVariant variant, bool useF
   const int ppg = variant == KernelVariant::X86Style ? 64 : std::max(1, 256 / f.states);
   const int blocks = (f.patterns + ppg - 1) / ppg;
 
-  // KernelArgs carries untyped device pointers; const-ness is a host-side
-  // concept the launch interface does not model.
+  // One operation over all patterns: a one-entry op table and range table.
+  const void* table[5] = {
+      dest.data(),
+      child1States ? static_cast<const void*>(f.s1.data()) : f.p1.data(),
+      f.m1.data(),
+      child2States ? static_cast<const void*>(f.s2.data()) : f.p2.data(),
+      f.m2.data()};
+  std::int32_t ranges[4] = {0, f.patterns, 0, blocks};
   KernelArgs args;
-  args.buffers[0] = dest.data();
-  args.buffers[1] = child1States
-                        ? static_cast<void*>(const_cast<std::int32_t*>(f.s1.data()))
-                        : static_cast<void*>(const_cast<double*>(f.p1.data()));
-  args.buffers[2] = const_cast<double*>(f.m1.data());
-  args.buffers[3] = child2States
-                        ? static_cast<void*>(const_cast<std::int32_t*>(f.s2.data()))
-                        : static_cast<void*>(const_cast<double*>(f.p2.data()));
-  args.buffers[4] = const_cast<double*>(f.m2.data());
+  args.buffers[5] = table;
+  args.buffers[6] = ranges;
   args.ints[0] = f.patterns;
   args.ints[1] = f.categories;
   args.ints[2] = f.states;
   args.ints[3] = ppg;
+  args.ints[4] = 1;
 
   const std::size_t localBytes =
       kernels::gpuStyleLocalMemBytes(f.states, false) +
@@ -202,16 +202,17 @@ TEST(KernelProperty, FrameworksExecuteIdenticalKernels) {
     dev.copyToDevice(*m1, 0, f.m1.data(), msz);
     dev.copyToDevice(*m2, 0, f.m2.data(), msz);
 
+    const void* table[5] = {dest->data(), p1->data(), m1->data(), p2->data(),
+                            m2->data()};
+    std::int32_t ranges[4] = {0, f.patterns, 0, 1};
     KernelArgs args;
-    args.buffers[0] = dest->data();
-    args.buffers[1] = p1->data();
-    args.buffers[2] = m1->data();
-    args.buffers[3] = p2->data();
-    args.buffers[4] = m2->data();
+    args.buffers[5] = table;
+    args.buffers[6] = ranges;
     args.ints[0] = f.patterns;
     args.ints[1] = f.categories;
     args.ints[2] = 4;
     args.ints[3] = 64;
+    args.ints[4] = 1;
     dev.launch(*kernel, {f.categories, 64, 0}, args, {});
     std::vector<double> out(f.p1.size());
     dev.copyToHost(out.data(), *dest, 0, psz);
@@ -295,7 +296,7 @@ enum class LaunchMode { Plain, FusedLevel, Ranged };
 /// buffers next to the reference's. Plain: one op over all patterns.
 /// FusedLevel: two ops into two destinations in one launch (ints[4] = 2).
 /// Ranged: two ops on disjoint, block-misaligned pattern ranges of one
-/// destination, each with its own matrices (ints[5] != 0).
+/// destination, each with its own matrices. Every mode is a range table.
 template <typename Real>
 void runPartialsBitwise(const Problem& f, KernelVariant variant, bool useFma,
                         KernelId id, LaunchMode mode) {
@@ -338,7 +339,6 @@ void runPartialsBitwise(const Problem& f, KernelVariant variant, bool useFma,
   spec.useFma = useFma;
   const hal::KernelFn fn = kernels::lookupKernel(spec);
   const int ppg = variant == KernelVariant::X86Style ? 64 : std::max(1, 256 / f.states);
-  const int blocks = (f.patterns + ppg - 1) / ppg;
 
   KernelArgs args;
   args.ints[0] = f.patterns;
@@ -347,32 +347,17 @@ void runPartialsBitwise(const Problem& f, KernelVariant variant, bool useFma,
   args.ints[3] = ppg;
   std::vector<const void*> table;
   std::vector<std::int32_t> ranges;
-  int numGroups = blocks * f.categories;
-  if (mode == LaunchMode::Plain) {
-    args.buffers[0] = actual[0].data();
-    args.buffers[1] = const_cast<void*>(ops[0].child1);
-    args.buffers[2] = const_cast<Real*>(ops[0].m1);
-    args.buffers[3] = const_cast<void*>(ops[0].child2);
-    args.buffers[4] = const_cast<Real*>(ops[0].m2);
-  } else {
-    int groupOffset = 0;
-    for (const auto& op : ops) {
-      table.insert(table.end(), {actual[op.destIndex].data(), op.child1, op.m1,
-                                 op.child2, op.m2});
-      const int opBlocks = (op.kEnd - op.kBegin + ppg - 1) / ppg;
-      ranges.insert(ranges.end(), {op.kBegin, op.kEnd, groupOffset, opBlocks});
-      groupOffset += opBlocks * f.categories;
-    }
-    args.ints[4] = static_cast<std::int64_t>(ops.size());
-    args.buffers[5] = table.data();
-    if (mode == LaunchMode::Ranged) {
-      args.ints[5] = 1;
-      args.buffers[6] = ranges.data();
-      numGroups = groupOffset;
-    } else {
-      numGroups *= static_cast<int>(ops.size());
-    }
+  int numGroups = 0;
+  for (const auto& op : ops) {
+    table.insert(table.end(), {actual[op.destIndex].data(), op.child1, op.m1,
+                               op.child2, op.m2});
+    const int opBlocks = (op.kEnd - op.kBegin + ppg - 1) / ppg;
+    ranges.insert(ranges.end(), {op.kBegin, op.kEnd, numGroups, opBlocks});
+    numGroups += opBlocks * f.categories;
   }
+  args.ints[4] = static_cast<std::int64_t>(ops.size());
+  args.buffers[5] = table.data();
+  args.buffers[6] = ranges.data();
 
   const std::size_t localBytes = kernels::gpuStyleLocalMemBytes(f.states, spec.singlePrecision) +
                                  2ull * ppg * f.states * sizeof(Real);
