@@ -3,8 +3,8 @@
 // A phylogenomic workload — hundreds of small gene partitions, each with
 // its own substitution model, over one shared tree — evaluated two ways on
 // the simulated accelerator profiles:
-//  * legacy: one library instance per partition (one launch set per
-//    partition per tree level),
+//  * legacy: one TreeLikelihood instance per partition (one launch set
+//    per partition per tree level; harness::runPerInstanceThroughput),
 //  * batched: ONE multi-partition instance whose pattern axis concatenates
 //    every partition (bglSetPatternPartitions); the level batcher fuses all
 //    partitions' per-level operations into the same grid launches, so the
@@ -41,9 +41,8 @@ struct Config {
   bool gated;  // simulated profile: subject to the 2x speedup gate
 };
 
-bgl::harness::PartitionedRunResult runLayout(const Config& config, int resource,
-                                             int partitions, bool batched,
-                                             bool validate) {
+bgl::harness::ProblemSpec problemSpec(const Config& config, int resource,
+                                      int partitions) {
   bgl::harness::ProblemSpec spec;
   spec.tips = 8;
   spec.patterns = partitions * kPatternsPerPartition;
@@ -54,10 +53,7 @@ bgl::harness::PartitionedRunResult runLayout(const Config& config, int resource,
   spec.requirementFlags = config.flags;
   spec.reps = 2;
   spec.warmupReps = 1;
-  bgl::phylo::PartitionOptions options;
-  options.batched = batched;
-  return bgl::harness::runPartitionedThroughput(spec, partitions, options,
-                                                validate);
+  return spec;
 }
 
 bool partitionsBitIdentical(const std::vector<double>& a,
@@ -124,10 +120,10 @@ int main() {
         // Fresh same-options per-partition references are themselves a
         // 1000-instance build; run them at the 120-partition scale only.
         const bool validate = partitions == scales.front();
-        const auto legacy =
-            runLayout(config, resource, partitions, /*batched=*/false, false);
-        const auto batched =
-            runLayout(config, resource, partitions, /*batched=*/true, validate);
+        const auto spec = problemSpec(config, resource, partitions);
+        const auto legacy = harness::runPerInstanceThroughput(spec, partitions);
+        const auto batched = harness::runPartitionedThroughput(
+            spec, partitions, phylo::PartitionOptions{}, validate);
         const double speedup = legacy.seconds / batched.seconds;
         const bool instancesExact =
             partitionsBitIdentical(batched.partitionLogL, legacy.partitionLogL);

@@ -1,8 +1,10 @@
 // Partitioned and multi-device analyses.
 //
 // Part 1 (Section IV-F of the paper): a dataset with two subsets — a
-// nucleotide partition and a codon partition — each evaluated by its own
-// library instance, concurrently.
+// nucleotide partition and a codon partition — in one partitioned
+// analysis. Partitions of one shape on one resource share a
+// multi-partition instance; these two differ in state count, so each gets
+// its own, and the two evaluate concurrently.
 //
 // Part 2 (the paper's conclusion / future work): a single large alignment
 // split by site patterns across several hardware resources, one instance

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/defs.h"
@@ -501,76 +502,100 @@ SplitRunResult runSplitThroughput(const ProblemSpec& spec,
   return result;
 }
 
-PartitionedRunResult runPartitionedThroughput(const ProblemSpec& spec, int partitions,
-                                              const phylo::PartitionOptions& options,
-                                              bool validateReference) {
-  if (spec.tips < 3) throw Error("runPartitionedThroughput: need >= 3 tips");
-  if (partitions < 1) throw Error("runPartitionedThroughput: need >= 1 partition");
-  if (spec.patterns < partitions) {
-    throw Error("runPartitionedThroughput: need >= 1 pattern per partition");
-  }
+namespace {
 
+/// The synthetic phylogenomic dataset of the partitioned runs.
+struct PartitionedProblem {
+  phylo::Tree tree;
+  std::vector<std::unique_ptr<SubstitutionModel>> models;
+  std::vector<phylo::PartitionSpec> specs;
+};
+
+/// One synthetic gene per partition: its own substitution model (distinct
+/// parameter seed) over its own slice of `spec.patterns`, all sharing one
+/// random tree.
+PartitionedProblem makePartitionedProblem(const ProblemSpec& spec, int partitions) {
+  if (spec.tips < 3) throw Error("partitioned run: need >= 3 tips");
+  if (partitions < 1) throw Error("partitioned run: need >= 1 partition");
+  if (spec.patterns < partitions) {
+    throw Error("partitioned run: need >= 1 pattern per partition");
+  }
   Rng rng(spec.seed);
-  const phylo::Tree tree = phylo::Tree::random(spec.tips, rng);
+  PartitionedProblem problem;
+  problem.tree = phylo::Tree::random(spec.tips, rng);
   const long precisionFlag =
       spec.singlePrecision ? BGL_FLAG_PRECISION_SINGLE : BGL_FLAG_PRECISION_DOUBLE;
-
-  // One synthetic gene per partition: its own substitution model (distinct
-  // parameter seed) over its own slice of the pattern budget, all sharing
-  // the one tree — the phylogenomic dataset shape of a partitioned analysis.
-  std::vector<std::unique_ptr<SubstitutionModel>> models;
-  models.reserve(static_cast<std::size_t>(partitions));
-  std::vector<phylo::PartitionSpec> specs(static_cast<std::size_t>(partitions));
+  problem.specs.resize(static_cast<std::size_t>(partitions));
   for (int q = 0; q < partitions; ++q) {
     const int begin = static_cast<int>(
         static_cast<long long>(q) * spec.patterns / partitions);
     const int end = static_cast<int>(
         static_cast<long long>(q + 1) * spec.patterns / partitions);
     const int patterns = end - begin;
-    auto& part = specs[static_cast<std::size_t>(q)];
+    auto& part = problem.specs[static_cast<std::size_t>(q)];
     part.data.taxa = spec.tips;
     part.data.patterns = patterns;
     part.data.states =
         phylo::randomStates(spec.tips, patterns, spec.states, rng);
     part.data.weights.assign(static_cast<std::size_t>(patterns), 1.0);
     part.data.originalSites = patterns;
-    models.push_back(defaultModelForStates(spec.states, spec.seed + q));
-    part.model = models.back().get();
+    problem.models.push_back(defaultModelForStates(spec.states, spec.seed + q));
+    part.model = problem.models.back().get();
     part.options.categories = spec.categories;
     part.options.resources = {spec.resource};
     part.options.preferenceFlags = spec.preferenceFlags;
     part.options.requirementFlags = spec.requirementFlags | precisionFlag;
   }
+  return problem;
+}
 
-  phylo::PartitionedLikelihood like(tree, specs, options);
-
-  PartitionedRunResult result;
-  result.partitions = partitions;
-  for (int w = 0; w < spec.warmupReps; ++w) result.logL = like.logLikelihood(tree);
-
+/// Warm up, then time spec.reps rounds; `round()` evaluates every partition
+/// once into `logLs` and returns the round's device seconds (0 when
+/// nothing is modeled, in which case wall time is the time base). Fills
+/// the timing, FLOP and logL fields of `result`.
+template <class Round>
+void timeRounds(const ProblemSpec& spec, const PartitionedProblem& problem,
+                Round round, const std::vector<double>& logLs,
+                PartitionedRunResult& result) {
+  result.partitions = static_cast<int>(problem.specs.size());
+  for (int w = 0; w < spec.warmupReps; ++w) round();
   double bestSeconds = 1e300;
   double bestWall = 1e300;
   for (int r = 0; r < spec.reps; ++r) {
     const double t0 = now();
-    result.logL = like.logLikelihood(tree);
+    const double modeled = round();
     const double wall = now() - t0;
     bestWall = std::min(bestWall, wall);
+    bestSeconds = std::min(bestSeconds, modeled > 0.0 ? modeled : wall);
+  }
+  result.seconds = bestSeconds;
+  result.measuredSeconds = bestWall;
+  for (const auto& part : problem.specs) {
+    result.flops += (spec.tips - 1) * kernels::partialsFlops(part.data.patterns,
+                                                             spec.categories, spec.states);
+  }
+  result.gflops = result.flops / result.seconds / 1e9;
+  result.partitionLogL = logLs;
+  for (double v : logLs) result.logL += v;
+}
+
+}  // namespace
+
+PartitionedRunResult runPartitionedThroughput(const ProblemSpec& spec, int partitions,
+                                              const phylo::PartitionOptions& options,
+                                              bool validateReference) {
+  const PartitionedProblem problem = makePartitionedProblem(spec, partitions);
+  const phylo::Tree& tree = problem.tree;
+  phylo::PartitionedLikelihood like(tree, problem.specs, options);
+
+  PartitionedRunResult result;
+  timeRounds(spec, problem, [&] {
+    like.logLikelihood(tree);
     // lastModeledSeconds() sums per-instance device time (roofline-modeled
     // on simulated profiles) — the honest time base when instances run
     // concurrently on distinct (or shared simulated) devices.
-    const double modeled = like.lastModeledSeconds();
-    bestSeconds = std::min(bestSeconds, modeled > 0.0 ? modeled : wall);
-  }
-
-  result.seconds = bestSeconds;
-  result.measuredSeconds = bestWall;
-  for (int q = 0; q < partitions; ++q) {
-    result.flops += (spec.tips - 1) *
-                    kernels::partialsFlops(specs[static_cast<std::size_t>(q)].data.patterns,
-                                           spec.categories, spec.states);
-  }
-  result.gflops = result.flops / result.seconds / 1e9;
-  result.partitionLogL = like.partitionLogLikelihoods();
+    return like.lastModeledSeconds();
+  }, like.partitionLogLikelihoods(), result);
   result.instances = like.instanceCount();
   result.peakConcurrency = like.peakConcurrency();
   result.kernelLaunches = like.lastKernelLaunches();
@@ -581,15 +606,17 @@ PartitionedRunResult runPartitionedThroughput(const ProblemSpec& spec, int parti
 
   if (validateReference) {
     // Per-instance reference: one single-partition instance per slice with
-    // the SAME options (resource, flags) the partitions used. Concatenating
-    // partitions onto one pattern axis must not change any partition's log
-    // likelihood, so the comparison is bitwise — within one implementation
-    // family, not across families (cross-family agreement is only ~1e-9).
+    // the options each partition runs with NOW (after a CPU fallback, the
+    // host-CPU options). Concatenating partitions onto one pattern axis
+    // must not change any partition's log likelihood, so the comparison is
+    // bitwise — within one implementation family, not across families
+    // (cross-family agreement is only ~1e-9).
     result.referenceComputed = true;
     result.referenceExact = true;
     for (int q = 0; q < partitions; ++q) {
-      const auto& part = specs[static_cast<std::size_t>(q)];
-      phylo::TreeLikelihood reference(tree, *part.model, part.data, part.options);
+      const auto& part = problem.specs[static_cast<std::size_t>(q)];
+      phylo::TreeLikelihood reference(tree, *part.model, part.data,
+                                      like.partitionOptions(q));
       const double refLogL = reference.logLikelihood(tree);
       result.referenceLogL += refLogL;
       if (refLogL != result.partitionLogL[static_cast<std::size_t>(q)]) {
@@ -597,6 +624,44 @@ PartitionedRunResult runPartitionedThroughput(const ProblemSpec& spec, int parti
       }
     }
   }
+  return result;
+}
+
+PartitionedRunResult runPerInstanceThroughput(const ProblemSpec& spec, int partitions) {
+  const PartitionedProblem problem = makePartitionedProblem(spec, partitions);
+  const phylo::Tree& tree = problem.tree;
+  std::vector<std::unique_ptr<phylo::TreeLikelihood>> instances;
+  instances.reserve(problem.specs.size());
+  for (const auto& part : problem.specs) {
+    instances.push_back(std::make_unique<phylo::TreeLikelihood>(tree, *part.model,
+                                                                part.data, part.options));
+  }
+
+  PartitionedRunResult result;
+  std::vector<double> logLs(problem.specs.size(), 0.0);
+  timeRounds(spec, problem, [&] {
+    // Per instance: modeled timeline seconds when the implementation has
+    // them, wall time otherwise; summed like lastModeledSeconds().
+    double seconds = 0.0;
+    result.kernelLaunches = 0;
+    for (std::size_t q = 0; q < instances.size(); ++q) {
+      const int instance = instances[q]->instance();
+      const bool timeline = bglResetTimeline(instance) == BGL_SUCCESS;
+      const double t0 = now();
+      logLs[q] = instances[q]->logLikelihood(tree);
+      double instanceSeconds = now() - t0;
+      BglTimeline tl{};
+      if (timeline && bglGetTimeline(instance, &tl) == BGL_SUCCESS) {
+        result.kernelLaunches += tl.kernelLaunches;
+        if (tl.modeledSeconds > 0.0) instanceSeconds = tl.modeledSeconds;
+      }
+      seconds += instanceSeconds;
+    }
+    return seconds;
+  }, logLs, result);
+  result.instances = static_cast<int>(instances.size());
+  result.peakConcurrency = 1;
+  for (const auto& instance : instances) result.implNames.push_back(instance->implName());
   return result;
 }
 

@@ -133,21 +133,26 @@ struct PartitionedRunResult {
   int rebalances = 0;
   std::vector<double> partitionLogL;    ///< per partition, original order
   std::vector<std::string> implNames;   ///< per partition
-  double referenceLogL = 0.0;      ///< serial host-CPU per-instance logL sum
+  double referenceLogL = 0.0;      ///< per-instance reference logL sum
   bool referenceComputed = false;
   bool referenceExact = false;     ///< every partition bitwise-equal
 };
 
 /// Evaluate `partitions` synthetic gene partitions — each with its own
 /// substitution model (distinct parameter seed) and its own slice of
-/// `spec.patterns` — over one shared random tree. PartitionOptions picks
-/// the layout: batched (one multi-partition instance per resource, the
-/// fused level-order launch path) or the legacy one instance per
-/// partition. When `validateReference` is set the per-partition log
-/// likelihoods are checked bitwise against serial host-CPU single-
-/// partition instances.
+/// `spec.patterns` — over one shared random tree, through one
+/// PartitionedLikelihood (one multi-partition instance per resource, the
+/// fused level-order launch path). When `validateReference` is set the
+/// per-partition log likelihoods are checked bitwise against single-
+/// partition instances with the options each partition runs with.
 PartitionedRunResult runPartitionedThroughput(const ProblemSpec& spec, int partitions,
                                               const phylo::PartitionOptions& options,
                                               bool validateReference = false);
+
+/// The per-instance baseline of the same dataset: one TreeLikelihood per
+/// partition, evaluated one after another. seconds sums the instances'
+/// modeled timeline seconds (wall time where there is none), and
+/// kernelLaunches sums their timeline launches.
+PartitionedRunResult runPerInstanceThroughput(const ProblemSpec& spec, int partitions);
 
 }  // namespace bgl::harness

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <numeric>
 #include <thread>
 
@@ -44,7 +43,7 @@ int shardResource(const LikelihoodOptions& options) {
 
 /// Failures worth failing over: the device/runtime/implementation is gone
 /// or misbehaving. Programming errors (OUT_OF_RANGE, UNIMPLEMENTED,
-/// FLOATING_POINT) would reproduce identically on any shard, so they are
+/// FLOATING_POINT) would reproduce identically on any unit, so they are
 /// never failed over.
 bool isHardError(int code) {
   switch (code) {
@@ -102,10 +101,79 @@ int runBounded(int n, int cap, const std::function<void(int)>& fn) {
   return peak.load(std::memory_order_relaxed);
 }
 
-int concurrencyCap(const PartitionOptions& options) {
-  if (options.maxConcurrency > 0) return options.maxConcurrency;
+/// `maxConcurrency`, or the host's hardware concurrency when it is 0.
+int concurrencyCap(int maxConcurrency) {
+  if (maxConcurrency > 0) return maxConcurrency;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 4;
+}
+
+/// One unit's evaluation round.
+struct UnitRun {
+  double seconds = 0.0;        ///< modeled timeline seconds, else wall time
+  std::uint64_t launches = 0;  ///< kernel launches on the timeline
+  detail::UnitError error;
+};
+
+/// Run `evaluate` on unit `unit`'s `instance`, timed. The obs-layer
+/// timeline is preferred: on simulated accelerator profiles its
+/// roofline-modeled time is the honest per-device time base, immune to
+/// host oversubscription when units run concurrently. Failures are
+/// captured, not thrown: units run on worker threads, and a raw exception
+/// would lose the unit identity the failover policy needs.
+template <class Evaluate>
+UnitRun timedEvaluate(int unit, int instance, const Evaluate& evaluate) {
+  UnitRun run;
+  try {
+    const bool timeline = bglResetTimeline(instance) == BGL_SUCCESS;
+    const auto start = Clock::now();
+    evaluate();
+    run.seconds = elapsedSeconds(start);
+    BglTimeline tl{};
+    if (timeline && bglGetTimeline(instance, &tl) == BGL_SUCCESS) {
+      run.launches = tl.kernelLaunches;
+      if (tl.modeledSeconds > 0.0) run.seconds = tl.modeledSeconds;
+    }
+  } catch (const Error& e) {
+    run.error = {unit, e.code() != 0 ? e.code() : kErrGeneral, e.what()};
+  } catch (const std::bad_alloc&) {
+    run.error = {unit, kErrOutOfMemory, "out of host memory evaluating an instance"};
+  } catch (const std::exception& e) {
+    run.error = {unit, kErrGeneral, e.what()};
+  }
+  return run;
+}
+
+/// Last-resort host-CPU options for a unit's work. Precision requirements
+/// are preserved; the failing framework/vector/threading demands are
+/// dropped.
+LikelihoodOptions hostFallbackOptions(const LikelihoodOptions& options) {
+  const long precisionMask = BGL_FLAG_PRECISION_SINGLE | BGL_FLAG_PRECISION_DOUBLE;
+  LikelihoodOptions fallback;
+  fallback.categories = options.categories;
+  fallback.alpha = options.alpha;
+  fallback.useScaling = options.useScaling;
+  fallback.requirementFlags =
+      BGL_FLAG_FRAMEWORK_CPU | (options.requirementFlags & precisionMask);
+  fallback.preferenceFlags = options.preferenceFlags & precisionMask;
+  fallback.resources = {0};
+  return fallback;
+}
+
+/// EWMA balancer options from either class's option struct.
+template <class Options>
+sched::LoadBalancer::Options balancerOptions(const Options& options, int minShare = 1) {
+  sched::LoadBalancer::Options out;
+  out.ewmaAlpha = options.ewmaAlpha;
+  out.imbalanceThreshold = options.imbalanceThreshold;
+  out.settleRounds = options.settleRounds;
+  out.minShare = minShare;
+  return out;
+}
+
+void journal(obs::JournalKind kind, const std::string& message) {
+  obs::Journal::instance().append(kind, 0, /*instance=*/-1, /*resource=*/-1,
+                                  /*shard=*/-1, message);
 }
 
 /// Predicted seconds of one evaluation of `spec` on `resource`; positive
@@ -120,20 +188,131 @@ double partitionCost(int resource, const PartitionSpec& spec) {
 
 }  // namespace
 
-PartitionedLikelihood::PartitionedLikelihood(const Tree& tree,
-                                             const std::vector<PartitionSpec>& specs,
-                                             bool concurrent)
-    : PartitionedLikelihood(tree, specs, [&] {
-        PartitionOptions options;
-        options.batched = false;  // keep the Section IV-F per-partition layout
-        options.concurrent = concurrent;
-        return options;
-      }()) {}
+namespace detail {
+
+void FailoverCore::build(const Tree& tree) {
+  const int maxAttempts = static_cast<int>(quarantined_.size()) + 2;
+  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
+    if (buildUnits(tree)) return;
+    // buildUnits quarantined the failing unit; hand its work to the
+    // survivors and retry the whole build.
+    ++failovers_;
+    sched::noteFailover(1);
+    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
+                         "sched.failover");
+    reassignWork();
+    journal(obs::JournalKind::kRetry,
+            std::string("rebuilding every ") + unitName() + "'s instance, attempt " +
+                std::to_string(attempt + 2) + "/" + std::to_string(maxAttempts));
+  }
+  fail("construction still failing after " + std::to_string(maxAttempts) +
+       " failovers");
+}
+
+void FailoverCore::evaluate(const Tree& tree) {
+  const int maxAttempts = static_cast<int>(quarantined_.size()) + 2;
+  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
+    const std::vector<UnitError> failed = evaluateUnits(tree);
+    for (const auto& f : failed) {
+      // Programming error: reproduces on any unit, never failed over.
+      if (!isHardError(f.code)) throw Error(f.message, f.code);
+    }
+    if (failed.empty()) return;
+    if (!enabled_) throw Error(failed.front().message, failed.front().code);
+    for (const auto& f : failed) quarantine(f);
+    ++failovers_;
+    sched::noteFailover(static_cast<std::uint64_t>(failed.size()));
+    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
+                         "sched.failover");
+    reassignWork();
+    build(tree);
+    journal(obs::JournalKind::kRetry,
+            "instances rebuilt after " + std::to_string(failed.size()) + " " +
+                unitName() + " failure(s); retrying the evaluation");
+  }
+  fail("evaluation still failing after " + std::to_string(maxAttempts) +
+       " failovers");
+}
+
+bool FailoverCore::buildUnit(int unit, const std::function<void()>& build) {
+  try {
+    build();
+    return true;
+  } catch (const Error& e) {
+    if (!enabled_ || !isHardError(e.code())) throw;
+    quarantine({unit, e.code(), e.what()});
+  } catch (const std::bad_alloc&) {
+    if (!enabled_) throw;
+    quarantine({unit, kErrOutOfMemory, "out of host memory building an instance"});
+  }
+  return false;
+}
+
+std::vector<int> FailoverCore::survivors() const {
+  std::vector<int> out;
+  for (std::size_t u = 0; u < quarantined_.size(); ++u) {
+    if (!quarantined_[u]) out.push_back(static_cast<int>(u));
+  }
+  return out;
+}
+
+void FailoverCore::quarantine(const UnitError& error) {
+  const auto u = static_cast<std::size_t>(error.unit);
+  quarantined_[u] = 1;
+  unitErrors_[u] = error.message;
+  lastFailure_ = error.message;
+  lastFailureCode_ = error.code;
+  const bool shard = kind_ == UnitKind::kShard;
+  obs::Journal::instance().append(obs::JournalKind::kShardQuarantine, error.code,
+                                  /*instance=*/-1, shard ? -1 : unitResource_[u],
+                                  shard ? error.unit : -1, error.message);
+}
+
+void FailoverCore::reassignWork() {
+  if (survivors().empty()) {
+    if (!cpuFallback_ || cpuFallbackUsed_) {
+      fail(std::string("every ") + unitName() + " is quarantined; last error");
+    }
+    const auto host = static_cast<std::size_t>(moveToHostCpu());
+    if (host >= quarantined_.size()) {
+      quarantined_.resize(host + 1);
+      unitErrors_.resize(host + 1);
+    }
+    quarantined_[host] = 0;
+    unitErrors_[host].clear();
+    cpuFallbackUsed_ = true;
+    obs::Journal::instance().append(
+        obs::JournalKind::kCpuFallback, 0, /*instance=*/-1, /*resource=*/0,
+        kind_ == UnitKind::kShard ? static_cast<int>(host) : -1,
+        std::string("every ") + unitName() + " quarantined; the host CPU carries all work");
+  }
+  journal(obs::JournalKind::kReapportion, reassign());
+}
+
+void FailoverCore::fail(const std::string& what) const {
+  throw Error(owner_ + (": " + what) + ": " + lastFailure_,
+              lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
+}
+
+const char* FailoverCore::unitName() const {
+  return kind_ == UnitKind::kShard ? "shard" : "resource";
+}
+
+}  // namespace detail
+
+void PartitionedLikelihood::OwnedInstance::reset(int id) {
+  if (id_ >= 0) bglFinalizeInstance(id_);
+  id_ = id;
+}
 
 PartitionedLikelihood::PartitionedLikelihood(const Tree& tree,
                                              const std::vector<PartitionSpec>& specs,
                                              const PartitionOptions& options)
-    : tree_(tree), specs_(specs), options_(options) {
+    : FailoverCore("PartitionedLikelihood", UnitKind::kResource, options.failover,
+                   options.cpuFallback),
+      tree_(tree),
+      specs_(specs),
+      options_(options) {
   if (specs_.empty()) throw Error("PartitionedLikelihood: no partitions");
   for (const auto& spec : specs_) {
     if (spec.model == nullptr) throw Error("PartitionedLikelihood: null model");
@@ -145,42 +324,27 @@ PartitionedLikelihood::PartitionedLikelihood(const Tree& tree,
     }
   }
   partitionLogL_.assign(specs_.size(), 0.0);
-
-  if (!options_.batched) {
-    parts_.reserve(specs_.size());
-    for (const auto& spec : specs_) {
-      parts_.push_back(std::make_unique<TreeLikelihood>(tree_, *spec.model,
-                                                        spec.data, spec.options));
-    }
-    return;
-  }
-
-  partitionResource_.reserve(specs_.size());
   for (const auto& spec : specs_) {
-    partitionResource_.push_back(shardResource(spec.options));
-  }
-  for (int r : partitionResource_) {
-    if (std::find(resourceIds_.begin(), resourceIds_.end(), r) ==
-        resourceIds_.end()) {
-      resourceIds_.push_back(r);
+    const int resource = shardResource(spec.options);
+    partitionResource_.push_back(resource);
+    if (unitOf(resource) == static_cast<int>(unitResource_.size())) {
+      unitResource_.push_back(resource);
     }
   }
-  resourceQuarantined_.assign(resourceIds_.size(), 0);
+  quarantined_.assign(unitResource_.size(), 0);
+  unitErrors_.assign(unitResource_.size(), std::string());
   if (options_.adaptive) rebuildBalancer();
-  buildGroupsWithFailover();
+  build(tree_);
 }
 
-PartitionedLikelihood::~PartitionedLikelihood() { destroyGroups(); }
+int PartitionedLikelihood::unitOf(int resource) const {
+  return static_cast<int>(
+      std::find(unitResource_.begin(), unitResource_.end(), resource) -
+      unitResource_.begin());
+}
 
-void PartitionedLikelihood::destroyGroups() {
-  for (auto& group : groups_) {
-    if (group.instance >= 0) bglFinalizeInstance(group.instance);
-  }
+bool PartitionedLikelihood::buildUnits(const Tree& /*tree*/) {
   groups_.clear();
-}
-
-bool PartitionedLikelihood::tryBuildGroups() {
-  destroyGroups();
   partitionGroup_.assign(specs_.size(), -1);
   // Group partitions of compatible shape per resource, first-appearance
   // order; member order within a group fixes the concatenation order of
@@ -217,16 +381,7 @@ bool PartitionedLikelihood::tryBuildGroups() {
     partitionGroup_[p] = slot;
   }
   for (auto& group : groups_) {
-    try {
-      buildGroupInstance(group);
-    } catch (const Error& e) {
-      if (!options_.failover || !isHardError(e.code())) throw;
-      quarantineResource(group.resource, e.what(), e.code());
-      return false;
-    } catch (const std::bad_alloc&) {
-      if (!options_.failover) throw;
-      quarantineResource(group.resource, "out of host memory building instance",
-                         kErrOutOfMemory);
+    if (!buildUnit(unitOf(group.resource), [&] { buildGroupInstance(group); })) {
       return false;
     }
   }
@@ -252,7 +407,7 @@ void PartitionedLikelihood::buildGroupInstance(Group& group) {
   if (instance < 0) {
     throwApiError("PartitionedLikelihood: bglCreateInstance", instance);
   }
-  group.instance = instance;
+  group.instance.reset(instance);
   group.implName = details.implName;
 
   int rc = BGL_SUCCESS;
@@ -298,115 +453,27 @@ void PartitionedLikelihood::buildGroupInstance(Group& group) {
     }
     rc = bglSetTipStates(instance, t, tipStates.data());
   }
-  if (rc != BGL_SUCCESS) {
-    const std::string detail = bglGetLastErrorMessage();
-    bglFinalizeInstance(instance);
-    group.instance = -1;
-    std::string message =
-        "PartitionedLikelihood: instance setup failed with code " +
-        std::to_string(rc);
-    if (!detail.empty()) message += ": " + detail;
-    throw Error(message, rc);
-  }
+  if (rc != BGL_SUCCESS) throwApiError("PartitionedLikelihood: instance setup", rc);
 }
 
-void PartitionedLikelihood::buildGroupsWithFailover() {
-  const int maxAttempts = static_cast<int>(resourceIds_.size()) + 2;
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    if (tryBuildGroups()) return;
-    // tryBuildGroups quarantined the failing resource; re-home its
-    // partitions onto the survivors and retry the whole build.
-    ++failovers_;
-    sched::noteFailover(1);
-    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
-                         "sched.failover");
-    rehomeQuarantined();
-    obs::Journal::instance().append(
-        obs::JournalKind::kRetry, 0, /*instance=*/-1, /*resource=*/-1,
-        /*shard=*/-1,
-        "rebuilding partition groups, attempt " + std::to_string(attempt + 2) +
-            "/" + std::to_string(maxAttempts));
-  }
-  throw Error("PartitionedLikelihood: group construction still failing after " +
-                  std::to_string(maxAttempts) + " failovers: " + lastFailure_,
-              lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
+int PartitionedLikelihood::moveToHostCpu() {
+  for (auto& spec : specs_) spec.options = hostFallbackOptions(spec.options);
+  std::fill(partitionResource_.begin(), partitionResource_.end(), 0);
+  const int host = unitOf(0);
+  if (host == static_cast<int>(unitResource_.size())) unitResource_.push_back(0);
+  return host;
 }
 
-void PartitionedLikelihood::quarantineResource(int resource,
-                                               const std::string& reason,
-                                               int code) {
-  for (std::size_t i = 0; i < resourceIds_.size(); ++i) {
-    if (resourceIds_[i] == resource) resourceQuarantined_[i] = 1;
-  }
-  lastFailure_ = reason;
-  lastFailureCode_ = code;
-  obs::Journal::instance().append(obs::JournalKind::kShardQuarantine, code,
-                                  /*instance=*/-1, resource, /*shard=*/-1,
-                                  reason);
-}
-
-void PartitionedLikelihood::rehomeQuarantined() {
+std::string PartitionedLikelihood::reassign() {
   std::vector<int> active;
-  for (std::size_t i = 0; i < resourceIds_.size(); ++i) {
-    if (!resourceQuarantined_[i]) active.push_back(resourceIds_[i]);
-  }
-  if (active.empty()) {
-    if (!options_.cpuFallback || cpuFallbackUsed_) {
-      throw Error(
-          "PartitionedLikelihood: every resource is quarantined; last error: " +
-              lastFailure_,
-          lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
-    }
-    // Last resort: one host-CPU instance set carries every partition.
-    // Precision requirements are preserved; the failing framework/vector/
-    // threading demands are dropped.
-    const long precisionMask =
-        BGL_FLAG_PRECISION_SINGLE | BGL_FLAG_PRECISION_DOUBLE;
-    for (auto& spec : specs_) {
-      LikelihoodOptions fallback;
-      fallback.categories = spec.options.categories;
-      fallback.alpha = spec.options.alpha;
-      fallback.useScaling = spec.options.useScaling;
-      fallback.requirementFlags =
-          BGL_FLAG_FRAMEWORK_CPU | (spec.options.requirementFlags & precisionMask);
-      fallback.preferenceFlags = spec.options.preferenceFlags & precisionMask;
-      fallback.resources = {0};
-      spec.options = fallback;
-    }
-    std::fill(partitionResource_.begin(), partitionResource_.end(), 0);
-    bool known = false;
-    for (std::size_t i = 0; i < resourceIds_.size(); ++i) {
-      if (resourceIds_[i] == 0) {
-        resourceQuarantined_[i] = 0;
-        known = true;
-      }
-    }
-    if (!known) {
-      resourceIds_.push_back(0);
-      resourceQuarantined_.push_back(0);
-    }
-    cpuFallbackUsed_ = true;
-    obs::Journal::instance().append(
-        obs::JournalKind::kCpuFallback, 0, /*instance=*/-1, /*resource=*/0,
-        /*shard=*/-1,
-        "every resource quarantined; host-CPU fallback carries all partitions");
-    if (options_.adaptive) rebuildBalancer();
-    return;
-  }
-
+  for (int u : survivors()) active.push_back(unitResource_[static_cast<std::size_t>(u)]);
   // Greedy re-home: partitions stranded on quarantined resources, heaviest
   // first, each onto the surviving resource with the smallest predicted
   // finish time (current load + this partition's cost there).
-  auto onQuarantined = [&](int resource) {
-    for (std::size_t i = 0; i < resourceIds_.size(); ++i) {
-      if (resourceIds_[i] == resource) return resourceQuarantined_[i] != 0;
-    }
-    return false;
-  };
   std::vector<double> load(active.size(), 0.0);
   std::vector<std::size_t> stranded;
   for (std::size_t p = 0; p < specs_.size(); ++p) {
-    if (onQuarantined(partitionResource_[p])) {
+    if (quarantined_[static_cast<std::size_t>(unitOf(partitionResource_[p]))]) {
       stranded.push_back(p);
       continue;
     }
@@ -434,18 +501,15 @@ void PartitionedLikelihood::rehomeQuarantined() {
     partitionResource_[p] = active[best];
     load[best] = bestFinish;
   }
-  obs::Journal::instance().append(
-      obs::JournalKind::kReapportion, 0, /*instance=*/-1, /*resource=*/-1,
-      /*shard=*/-1,
-      std::to_string(stranded.size()) + " partition(s) re-homed across " +
-          std::to_string(active.size()) + " surviving resource(s)");
   if (options_.adaptive) rebuildBalancer();
+  return std::to_string(stranded.size()) + " partition(s) re-homed across " +
+         std::to_string(active.size()) + " surviving resource(s)";
 }
 
 void PartitionedLikelihood::rebuildBalancer() {
   balancerResources_.clear();
-  for (std::size_t i = 0; i < resourceIds_.size(); ++i) {
-    if (!resourceQuarantined_[i]) balancerResources_.push_back(resourceIds_[i]);
+  for (int u : survivors()) {
+    balancerResources_.push_back(unitResource_[static_cast<std::size_t>(u)]);
   }
   if (balancerResources_.size() < 2) {
     balancer_.reset();
@@ -464,186 +528,107 @@ void PartitionedLikelihood::rebuildBalancer() {
     }
     speeds.push_back(seconds > 0.0 ? patterns / seconds : 1.0);
   }
-  sched::LoadBalancer::Options options;
-  options.ewmaAlpha = options_.ewmaAlpha;
-  options.imbalanceThreshold = options_.imbalanceThreshold;
-  options.settleRounds = options_.settleRounds;
-  balancer_ = std::make_unique<sched::LoadBalancer>(speeds, options);
+  balancer_ = std::make_unique<sched::LoadBalancer>(speeds, balancerOptions(options_));
 }
 
-void PartitionedLikelihood::evaluateGroup(Group& group, const Tree& tree) {
-  group.seconds = 0.0;
-  group.launches = 0;
-  group.errorCode = 0;
-  group.errorMessage.clear();
-  // Failures are captured into the group instead of thrown: groups run on
-  // worker threads, and a raw exception would lose the resource identity
-  // the failover path needs.
-  try {
-    const int instance = group.instance;
-    const int tips = tree.tipCount();
-    const int edges = 2 * tips - 2;
-    const int q = static_cast<int>(group.members.size());
-    const bool timeline = bglResetTimeline(instance) == BGL_SUCCESS;
-    const auto start = Clock::now();
+void PartitionedLikelihood::evaluateGroup(const Group& group, const Tree& tree) {
+  const int instance = group.instance.id();
+  const int tips = tree.tipCount();
+  const int edges = 2 * tips - 2;
+  const int q = static_cast<int>(group.members.size());
 
-    // Every member shares the tree's edge set; one batched call refreshes
-    // all q model copies of every edge matrix.
-    std::vector<int> matrixNodes;
-    std::vector<double> lengths;
-    tree.matrixUpdates(matrixNodes, lengths);
-    const int perModel = static_cast<int>(matrixNodes.size());
-    std::vector<int> eigenIdx(static_cast<std::size_t>(q) * perModel);
-    std::vector<int> ratesIdx(static_cast<std::size_t>(q) * perModel);
-    std::vector<int> probIdx(static_cast<std::size_t>(q) * perModel);
-    std::vector<double> allLengths(static_cast<std::size_t>(q) * perModel);
-    for (int s = 0; s < q; ++s) {
-      for (int i = 0; i < perModel; ++i) {
-        const std::size_t at = static_cast<std::size_t>(s) * perModel + i;
-        eigenIdx[at] = s;
-        ratesIdx[at] = s;
-        probIdx[at] = s * edges + matrixNodes[static_cast<std::size_t>(i)];
-        allLengths[at] = lengths[static_cast<std::size_t>(i)];
-      }
+  // Every member shares the tree's edge set; one batched call refreshes
+  // all q model copies of every edge matrix.
+  std::vector<int> matrixNodes;
+  std::vector<double> lengths;
+  tree.matrixUpdates(matrixNodes, lengths);
+  const int perModel = static_cast<int>(matrixNodes.size());
+  std::vector<int> eigenIdx(static_cast<std::size_t>(q) * perModel);
+  std::vector<int> ratesIdx(static_cast<std::size_t>(q) * perModel);
+  std::vector<int> probIdx(static_cast<std::size_t>(q) * perModel);
+  std::vector<double> allLengths(static_cast<std::size_t>(q) * perModel);
+  for (int s = 0; s < q; ++s) {
+    for (int i = 0; i < perModel; ++i) {
+      const std::size_t at = static_cast<std::size_t>(s) * perModel + i;
+      eigenIdx[at] = s;
+      ratesIdx[at] = s;
+      probIdx[at] = s * edges + matrixNodes[static_cast<std::size_t>(i)];
+      allLengths[at] = lengths[static_cast<std::size_t>(i)];
     }
-    int rc = bglUpdateTransitionMatricesWithModels(
-        instance, eigenIdx.data(), ratesIdx.data(), probIdx.data(),
-        allLengths.data(), q * perModel);
-    if (rc != BGL_SUCCESS) throwApiError("updateTransitionMatricesWithModels", rc);
+  }
+  int rc = bglUpdateTransitionMatricesWithModels(
+      instance, eigenIdx.data(), ratesIdx.data(), probIdx.data(),
+      allLengths.data(), q * perModel);
+  if (rc != BGL_SUCCESS) throwApiError("updateTransitionMatricesWithModels", rc);
 
-    const int cum = group.useScaling ? tips - 1 : BGL_OP_NONE;
-    if (group.useScaling) {
-      rc = bglResetScaleFactors(instance, cum);
-      if (rc != BGL_SUCCESS) throwApiError("resetScaleFactors", rc);
-    }
+  const int cum = group.useScaling ? tips - 1 : BGL_OP_NONE;
+  if (group.useScaling) {
+    rc = bglResetScaleFactors(instance, cum);
+    if (rc != BGL_SUCCESS) throwApiError("resetScaleFactors", rc);
+  }
 
-    // The same level-order traversal once per member; the level batcher
-    // fuses all members' operations for a level into one launch set.
-    const auto baseOps = tree.operations(group.useScaling);
-    std::vector<BglOperationByPartition> ops;
-    ops.reserve(baseOps.size() * static_cast<std::size_t>(q));
-    for (int s = 0; s < q; ++s) {
-      for (const auto& op : baseOps) {
-        BglOperationByPartition pop;
-        pop.destinationPartials = op.destinationPartials;
-        pop.destinationScaleWrite = op.destinationScaleWrite;
-        pop.destinationScaleRead = op.destinationScaleRead;
-        pop.child1Partials = op.child1Partials;
-        pop.child1TransitionMatrix = s * edges + op.child1TransitionMatrix;
-        pop.child2Partials = op.child2Partials;
-        pop.child2TransitionMatrix = s * edges + op.child2TransitionMatrix;
-        pop.partition = s;
-        ops.push_back(pop);
-      }
+  // The same level-order traversal once per member; the level batcher
+  // fuses all members' operations for a level into one launch set.
+  const auto baseOps = tree.operations(group.useScaling);
+  std::vector<BglOperationByPartition> ops;
+  ops.reserve(baseOps.size() * static_cast<std::size_t>(q));
+  for (int s = 0; s < q; ++s) {
+    for (const auto& op : baseOps) {
+      BglOperationByPartition pop;
+      pop.destinationPartials = op.destinationPartials;
+      pop.destinationScaleWrite = op.destinationScaleWrite;
+      pop.destinationScaleRead = op.destinationScaleRead;
+      pop.child1Partials = op.child1Partials;
+      pop.child1TransitionMatrix = s * edges + op.child1TransitionMatrix;
+      pop.child2Partials = op.child2Partials;
+      pop.child2TransitionMatrix = s * edges + op.child2TransitionMatrix;
+      pop.partition = s;
+      ops.push_back(pop);
     }
-    rc = bglUpdatePartialsByPartition(instance, ops.data(),
-                                      static_cast<int>(ops.size()), cum);
-    if (rc != BGL_SUCCESS) throwApiError("updatePartialsByPartition", rc);
+  }
+  rc = bglUpdatePartialsByPartition(instance, ops.data(),
+                                    static_cast<int>(ops.size()), cum);
+  if (rc != BGL_SUCCESS) throwApiError("updatePartialsByPartition", rc);
 
-    const int root = tree.root();
-    std::vector<int> roots(static_cast<std::size_t>(q), root);
-    std::vector<int> slots(static_cast<std::size_t>(q));
-    std::iota(slots.begin(), slots.end(), 0);
-    std::vector<int> cums(static_cast<std::size_t>(q), cum);
-    std::vector<int> partIdx = slots;
-    std::vector<double> logLs(static_cast<std::size_t>(q), 0.0);
-    double total = 0.0;
-    rc = bglCalculateRootLogLikelihoodsByPartition(
-        instance, roots.data(), slots.data(), slots.data(),
-        group.useScaling ? cums.data() : nullptr, partIdx.data(), q,
-        logLs.data(), &total);
-    if (rc != BGL_SUCCESS && rc != BGL_ERROR_FLOATING_POINT) {
-      throwApiError("calculateRootLogLikelihoodsByPartition", rc);
-    }
-    for (int s = 0; s < q; ++s) {
-      partitionLogL_[static_cast<std::size_t>(group.members[s])] =
-          logLs[static_cast<std::size_t>(s)];
-    }
-
-    double seconds = elapsedSeconds(start);
-    if (timeline) {
-      // Prefer the obs-layer timeline: on simulated accelerator profiles
-      // the roofline-modeled time is the honest per-device time base and is
-      // immune to host oversubscription when groups run concurrently.
-      BglTimeline tl{};
-      if (bglGetTimeline(instance, &tl) == BGL_SUCCESS) {
-        group.launches = tl.kernelLaunches;
-        if (tl.modeledSeconds > 0.0) seconds = tl.modeledSeconds;
-      }
-    }
-    group.seconds = seconds;
-  } catch (const Error& e) {
-    group.errorCode = e.code() != 0 ? e.code() : kErrGeneral;
-    group.errorMessage = e.what();
-  } catch (const std::bad_alloc&) {
-    group.errorCode = kErrOutOfMemory;
-    group.errorMessage = "out of host memory evaluating partition group";
-  } catch (const std::exception& e) {
-    group.errorCode = kErrGeneral;
-    group.errorMessage = e.what();
+  const int root = tree.root();
+  std::vector<int> roots(static_cast<std::size_t>(q), root);
+  std::vector<int> slots(static_cast<std::size_t>(q));
+  std::iota(slots.begin(), slots.end(), 0);
+  std::vector<int> cums(static_cast<std::size_t>(q), cum);
+  std::vector<int> partIdx = slots;
+  std::vector<double> logLs(static_cast<std::size_t>(q), 0.0);
+  double total = 0.0;
+  rc = bglCalculateRootLogLikelihoodsByPartition(
+      instance, roots.data(), slots.data(), slots.data(),
+      group.useScaling ? cums.data() : nullptr, partIdx.data(), q,
+      logLs.data(), &total);
+  if (rc != BGL_SUCCESS && rc != BGL_ERROR_FLOATING_POINT) {
+    throwApiError("calculateRootLogLikelihoodsByPartition", rc);
+  }
+  for (int s = 0; s < q; ++s) {
+    partitionLogL_[static_cast<std::size_t>(group.members[s])] =
+        logLs[static_cast<std::size_t>(s)];
   }
 }
 
-double PartitionedLikelihood::evaluateBatched(const Tree& tree) {
-  const int maxAttempts = static_cast<int>(resourceIds_.size()) + 2;
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    const int n = static_cast<int>(groups_.size());
-    if (!options_.concurrent || n == 1) {
-      for (auto& group : groups_) evaluateGroup(group, tree);
-      peakConcurrency_ = std::max(peakConcurrency_, 1);
-    } else {
-      const int peak = runBounded(n, concurrencyCap(options_), [&](int i) {
-        evaluateGroup(groups_[static_cast<std::size_t>(i)], tree);
+std::vector<detail::UnitError> PartitionedLikelihood::evaluateUnits(const Tree& tree) {
+  std::vector<UnitRun> runs(groups_.size());
+  const int peak = runBounded(
+      static_cast<int>(groups_.size()),
+      options_.concurrent ? concurrencyCap(options_.maxConcurrency) : 1, [&](int g) {
+        const Group& group = groups_[static_cast<std::size_t>(g)];
+        runs[static_cast<std::size_t>(g)] =
+            timedEvaluate(unitOf(group.resource), group.instance.id(),
+                          [&] { evaluateGroup(group, tree); });
       });
-      peakConcurrency_ = std::max(peakConcurrency_, peak);
-    }
-
-    std::vector<std::size_t> failed;
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      if (groups_[g].errorCode == 0) continue;
-      if (!isHardError(groups_[g].errorCode)) {
-        // Programming error: reproduces on any resource, never failed over.
-        throw Error(groups_[g].errorMessage, groups_[g].errorCode);
-      }
-      failed.push_back(g);
-    }
-
-    if (failed.empty()) {
-      lastInstanceSeconds_.clear();
-      lastKernelLaunches_ = 0;
-      for (const auto& group : groups_) {
-        lastInstanceSeconds_.push_back(group.seconds);
-        lastKernelLaunches_ += group.launches;
-      }
-      if (options_.adaptive) maybeRebalance();
-      double total = 0.0;
-      for (double v : partitionLogL_) total += v;
-      return total;
-    }
-
-    if (!options_.failover) {
-      throw Error(groups_[failed.front()].errorMessage,
-                  groups_[failed.front()].errorCode);
-    }
-    for (std::size_t g : failed) {
-      quarantineResource(groups_[g].resource, groups_[g].errorMessage,
-                         groups_[g].errorCode);
-    }
-    ++failovers_;
-    sched::noteFailover(static_cast<std::uint64_t>(failed.size()));
-    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
-                         "sched.failover");
-    rehomeQuarantined();
-    buildGroupsWithFailover();
-    obs::Journal::instance().append(
-        obs::JournalKind::kRetry, 0, /*instance=*/-1, /*resource=*/-1,
-        /*shard=*/-1,
-        "partition groups rebuilt after " + std::to_string(failed.size()) +
-            " instance failure(s); retrying the evaluation");
+  peakConcurrency_ = std::max(peakConcurrency_, peak);
+  std::vector<detail::UnitError> failed;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    groups_[g].seconds = runs[g].seconds;
+    groups_[g].launches = runs[g].launches;
+    if (runs[g].error.code != 0) failed.push_back(std::move(runs[g].error));
   }
-  throw Error("PartitionedLikelihood: evaluation still failing after " +
-                  std::to_string(maxAttempts) + " failovers: " + lastFailure_,
-              lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
+  return failed;
 }
 
 void PartitionedLikelihood::maybeRebalance() {
@@ -689,66 +674,13 @@ void PartitionedLikelihood::maybeRebalance() {
   }
   if (migrated == 0) return;
   sched::noteRebalance(static_cast<std::uint64_t>(migrated));
-  obs::Journal::instance().append(
-      obs::JournalKind::kRebalance, 0, /*instance=*/-1, /*resource=*/-1,
-      /*shard=*/-1,
-      "adaptive re-home migrated " + std::to_string(migrated) +
-          " partition(s) across " + std::to_string(nR) + " resource(s)");
+  journal(obs::JournalKind::kRebalance,
+          "adaptive re-home migrated " + std::to_string(migrated) +
+              " partition(s) across " + std::to_string(nR) + " resource(s)");
   obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
                        "sched.rebalance");
-  buildGroupsWithFailover();
+  build(tree_);
   ++rebalances_;
-}
-
-double PartitionedLikelihood::evaluateLegacy(const Tree& tree) {
-  const int n = static_cast<int>(parts_.size());
-  std::vector<int> codes(static_cast<std::size_t>(n), 0);
-  std::vector<std::string> messages(static_cast<std::size_t>(n));
-  std::vector<double> seconds(static_cast<std::size_t>(n), 0.0);
-  std::vector<std::uint64_t> launches(static_cast<std::size_t>(n), 0);
-  auto evalOne = [&](int i) {
-    const auto at = static_cast<std::size_t>(i);
-    try {
-      const int instance = parts_[at]->instance();
-      const bool timeline = bglResetTimeline(instance) == BGL_SUCCESS;
-      const auto start = Clock::now();
-      partitionLogL_[at] = parts_[at]->logLikelihood(tree);
-      seconds[at] = elapsedSeconds(start);
-      if (timeline) {
-        BglTimeline tl{};
-        if (bglGetTimeline(instance, &tl) == BGL_SUCCESS) {
-          launches[at] = tl.kernelLaunches;
-          if (tl.modeledSeconds > 0.0) seconds[at] = tl.modeledSeconds;
-        }
-      }
-    } catch (const Error& e) {
-      codes[at] = e.code() != 0 ? e.code() : kErrGeneral;
-      messages[at] = e.what();
-    } catch (const std::exception& e) {
-      codes[at] = kErrGeneral;
-      messages[at] = e.what();
-    }
-  };
-  if (!options_.concurrent || n == 1) {
-    for (int i = 0; i < n; ++i) evalOne(i);
-    peakConcurrency_ = std::max(peakConcurrency_, 1);
-  } else {
-    // Bounded worker team popping an index queue: never more live threads
-    // than the concurrency cap, however many partitions the analysis has
-    // (the old per-partition std::async fan-out spawned one thread each).
-    const int peak = runBounded(n, concurrencyCap(options_), evalOne);
-    peakConcurrency_ = std::max(peakConcurrency_, peak);
-  }
-  for (int i = 0; i < n; ++i) {
-    const auto at = static_cast<std::size_t>(i);
-    if (codes[at] != 0) throw Error(messages[at], codes[at]);
-  }
-  lastInstanceSeconds_.assign(seconds.begin(), seconds.end());
-  lastKernelLaunches_ = 0;
-  for (std::uint64_t l : launches) lastKernelLaunches_ += l;
-  double total = 0.0;
-  for (double v : partitionLogL_) total += v;
-  return total;
 }
 
 double PartitionedLikelihood::logLikelihood(const Tree& tree) {
@@ -756,25 +688,21 @@ double PartitionedLikelihood::logLikelihood(const Tree& tree) {
     throw Error("PartitionedLikelihood: taxon count changed");
   }
   tree_ = tree;
-  return options_.batched ? evaluateBatched(tree_) : evaluateLegacy(tree_);
+  evaluate(tree_);
+  lastInstanceSeconds_.clear();
+  lastKernelLaunches_ = 0;
+  for (const auto& group : groups_) {
+    lastInstanceSeconds_.push_back(group.seconds);
+    lastKernelLaunches_ += group.launches;
+  }
+  if (options_.adaptive) maybeRebalance();
+  double total = 0.0;
+  for (double v : partitionLogL_) total += v;
+  return total;
 }
 
 const std::string& PartitionedLikelihood::implName(int partition) const {
-  if (!options_.batched) {
-    return parts_[static_cast<std::size_t>(partition)]->implName();
-  }
-  const int g = partitionGroup_[static_cast<std::size_t>(partition)];
-  return groups_[static_cast<std::size_t>(g)].implName;
-}
-
-int PartitionedLikelihood::instanceCount() const {
-  return options_.batched ? static_cast<int>(groups_.size())
-                          : static_cast<int>(parts_.size());
-}
-
-int PartitionedLikelihood::groupOf(int partition) const {
-  return options_.batched ? partitionGroup_[static_cast<std::size_t>(partition)]
-                          : partition;
+  return groups_[static_cast<std::size_t>(groupOf(partition))].implName;
 }
 
 double PartitionedLikelihood::lastModeledSeconds() const {
@@ -901,7 +829,12 @@ SplitLikelihood::SplitLikelihood(const Tree& tree, const SubstitutionModel& mode
                                  const PatternSet& data,
                                  const std::vector<LikelihoodOptions>& shardOptions,
                                  const SplitOptions& split)
-    : model_(&model), data_(data), shardOptions_(shardOptions), split_(split) {
+    : FailoverCore("SplitLikelihood", UnitKind::kShard, split.failover,
+                   split.cpuFallback),
+      model_(&model),
+      data_(data),
+      shardOptions_(shardOptions),
+      split_(split) {
   if (shardOptions_.empty()) throw Error("SplitLikelihood: no shards");
   if (data_.patterns < 1) throw Error("SplitLikelihood: no patterns");
   const int n = static_cast<int>(shardOptions_.size());
@@ -931,293 +864,129 @@ SplitLikelihood::SplitLikelihood(const Tree& tree, const SubstitutionModel& mode
 
   currentSpeeds_ = speeds;
   quarantined_.assign(static_cast<std::size_t>(n), 0);
-  shardErrors_.assign(static_cast<std::size_t>(n), std::string());
+  unitErrors_.assign(static_cast<std::size_t>(n), std::string());
   active_.resize(static_cast<std::size_t>(n));
   std::iota(active_.begin(), active_.end(), 0);
 
-  const auto shares =
+  shardPatterns_ =
       sched::proportionalShares(data_.patterns, speeds, split_.minPatternsPerShard);
-  if (split_.mode == SplitMode::Adaptive) {
-    sched::LoadBalancer::Options options;
-    options.ewmaAlpha = split_.ewmaAlpha;
-    options.imbalanceThreshold = split_.imbalanceThreshold;
-    options.minShare = split_.minPatternsPerShard;
-    options.settleRounds = split_.settleRounds;
-    balancer_ = std::make_unique<sched::LoadBalancer>(speeds, options);
-  }
-  build(tree, shares);
+  resetBalancer(speeds);
+  build(tree);
 }
 
-void SplitLikelihood::build(const Tree& tree, const std::vector<int>& shares) {
-  std::vector<int> current = shares;
-  const int maxAttempts = static_cast<int>(shardOptions_.size()) + 2;
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    if (tryBuild(tree, current)) return;
-    // tryBuild quarantined the failing shard; re-apportion its patterns
-    // across the survivors and retry the whole build.
-    ++failovers_;
-    sched::noteFailover(1);
-    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
-                         "sched.failover");
-    current = sharesAfterQuarantine();
-    obs::Journal::instance().append(
-        obs::JournalKind::kRetry, 0, /*instance=*/-1, /*resource=*/-1,
-        /*shard=*/-1,
-        "rebuilding shard set, attempt " + std::to_string(attempt + 2) + "/" +
-            std::to_string(maxAttempts));
-  }
-  throw Error("SplitLikelihood: shard construction still failing after " +
-                  std::to_string(maxAttempts) + " failovers: " + lastFailure_,
-              lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
+void SplitLikelihood::resetBalancer(const std::vector<double>& speeds) {
+  if (split_.mode != SplitMode::Adaptive) return;
+  balancer_ = std::make_unique<sched::LoadBalancer>(
+      speeds, balancerOptions(split_, split_.minPatternsPerShard));
 }
 
-bool SplitLikelihood::tryBuild(const Tree& tree, const std::vector<int>& shares) {
+bool SplitLikelihood::buildUnits(const Tree& tree) {
   shards_.clear();
-  shards_.resize(shares.size());
-  shardPatterns_ = shares;
-  shardSeconds_.assign(shares.size(), 0.0);
-  const auto shardData = splitPatternsByShares(data_, shares);
-  for (std::size_t s = 0; s < shares.size(); ++s) {
-    if (shares[s] <= 0) continue;  // idle or quarantined shard: no instance
-    try {
-      shards_[s] = std::make_unique<TreeLikelihood>(tree, *model_, shardData[s],
-                                                    shardOptions_[s]);
-    } catch (const Error& e) {
-      if (!split_.failover || !isHardError(e.code())) throw;
-      quarantine(s, e.what(), e.code());
-      return false;
-    } catch (const std::bad_alloc&) {
-      if (!split_.failover) throw;
-      quarantine(s, "out of host memory building shard", kErrOutOfMemory);
+  shards_.resize(shardPatterns_.size());
+  shardSeconds_.assign(shardPatterns_.size(), 0.0);
+  const auto shardData = splitPatternsByShares(data_, shardPatterns_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (shardPatterns_[s] <= 0) continue;  // idle or quarantined shard: no instance
+    if (!buildUnit(static_cast<int>(s), [&] {
+          shards_[s] = std::make_unique<TreeLikelihood>(tree, *model_, shardData[s],
+                                                        shardOptions_[s]);
+        })) {
       return false;
     }
   }
   return true;
 }
 
-void SplitLikelihood::quarantine(std::size_t shard, const std::string& reason,
-                                 int code) {
-  quarantined_[shard] = 1;
-  shardErrors_[shard] = reason;
-  shards_[shard].reset();  // destroy the instance; never hand it work again
-  lastFailure_ = reason;
-  lastFailureCode_ = code;
-  obs::Journal::instance().append(obs::JournalKind::kShardQuarantine, code,
-                                  /*instance=*/-1, /*resource=*/-1,
-                                  static_cast<int>(shard), reason);
+int SplitLikelihood::moveToHostCpu() {
+  // Shard 0 carries the whole alignment on a plain host-CPU instance.
+  shardOptions_[0] = hostFallbackOptions(shardOptions_[0]);
+  return 0;
 }
 
-std::vector<int> SplitLikelihood::sharesAfterQuarantine() {
-  active_.clear();
-  for (std::size_t i = 0; i < quarantined_.size(); ++i) {
-    if (!quarantined_[i]) active_.push_back(static_cast<int>(i));
-  }
-  if (active_.empty()) {
-    if (!split_.cpuFallback || cpuFallbackUsed_) {
-      throw Error("SplitLikelihood: every shard is quarantined; last error: " +
-                      lastFailure_,
-                  lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
-    }
-    // Last resort: rebuild shard 0 as a plain host-CPU instance carrying
-    // the whole alignment. Precision requirements are preserved; the
-    // failing framework/vector/threading demands are dropped.
-    const long precisionMask =
-        BGL_FLAG_PRECISION_SINGLE | BGL_FLAG_PRECISION_DOUBLE;
-    const LikelihoodOptions& orig = shardOptions_[0];
-    LikelihoodOptions fallback;
-    fallback.categories = orig.categories;
-    fallback.alpha = orig.alpha;
-    fallback.useScaling = orig.useScaling;
-    fallback.requirementFlags =
-        BGL_FLAG_FRAMEWORK_CPU | (orig.requirementFlags & precisionMask);
-    fallback.preferenceFlags = orig.preferenceFlags & precisionMask;
-    fallback.resources = {0};
-    shardOptions_[0] = fallback;
-    quarantined_[0] = 0;
-    shardErrors_[0].clear();
-    cpuFallbackUsed_ = true;
-    active_ = {0};
-    obs::Journal::instance().append(
-        obs::JournalKind::kCpuFallback, 0, /*instance=*/-1, /*resource=*/0,
-        /*shard=*/0,
-        "every shard quarantined; host-CPU fallback carries the full "
-        "alignment");
-  }
-
+std::string SplitLikelihood::reassign() {
+  active_ = survivors();
   std::vector<double> speeds;
   speeds.reserve(active_.size());
   for (int i : active_) {
-    const double s = i < static_cast<int>(currentSpeeds_.size())
-                         ? currentSpeeds_[static_cast<std::size_t>(i)]
-                         : 1.0;
+    const double s = currentSpeeds_[static_cast<std::size_t>(i)];
     speeds.push_back(s > 0.0 ? s : 1.0);
   }
   // The balancer must be rebuilt over the survivors only: feeding the old
   // full-size balancer would let sanitizeSpeeds resurrect dead shards.
-  if (split_.mode == SplitMode::Adaptive) {
-    sched::LoadBalancer::Options options;
-    options.ewmaAlpha = split_.ewmaAlpha;
-    options.imbalanceThreshold = split_.imbalanceThreshold;
-    options.minShare = split_.minPatternsPerShard;
-    options.settleRounds = split_.settleRounds;
-    balancer_ = std::make_unique<sched::LoadBalancer>(speeds, options);
-  }
+  resetBalancer(speeds);
   const auto activeShares =
       sched::proportionalShares(data_.patterns, speeds, split_.minPatternsPerShard);
-  std::vector<int> shares(shardOptions_.size(), 0);
+  shardPatterns_.assign(shardOptions_.size(), 0);
   for (std::size_t j = 0; j < active_.size(); ++j) {
-    shares[static_cast<std::size_t>(active_[j])] = activeShares[j];
+    shardPatterns_[static_cast<std::size_t>(active_[j])] = activeShares[j];
   }
-  obs::Journal::instance().append(
-      obs::JournalKind::kReapportion, 0, /*instance=*/-1, /*resource=*/-1,
-      /*shard=*/-1,
-      std::to_string(data_.patterns) + " patterns re-apportioned across " +
-          std::to_string(active_.size()) + " surviving shard(s)");
-  return shares;
+  return std::to_string(data_.patterns) + " patterns re-apportioned across " +
+         std::to_string(active_.size()) + " surviving shard(s)";
 }
 
-double SplitLikelihood::evaluateShard(std::size_t shard, const Tree& tree) {
-  if (shards_[shard] == nullptr) {
-    shardSeconds_[shard] = 0.0;
-    return 0.0;
+std::vector<detail::UnitError> SplitLikelihood::evaluateUnits(const Tree& tree) {
+  const std::size_t n = shards_.size();
+  std::vector<UnitRun> runs(n);
+  std::vector<double> logL(n, 0.0);
+  runBounded(static_cast<int>(n), split_.concurrent ? concurrencyCap(0) : 1,
+             [&](int i) {
+               const auto at = static_cast<std::size_t>(i);
+               TreeLikelihood* shard = shards_[at].get();
+               if (shard == nullptr) return;
+               runs[at] = timedEvaluate(i, shard->instance(),
+                                        [&] { logL[at] = shard->logLikelihood(tree); });
+             });
+  std::vector<detail::UnitError> failed;
+  roundLogL_ = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double seconds = runs[i].seconds;
+    if (i < split_.debugSlowdown.size() && split_.debugSlowdown[i] > 0.0) {
+      seconds *= split_.debugSlowdown[i];
+    }
+    shardSeconds_[i] = seconds;
+    roundLogL_ += logL[i];
+    if (runs[i].error.code != 0) failed.push_back(std::move(runs[i].error));
   }
-  // Failures are captured into roundErrorCode_/roundErrorMessage_ instead
-  // of thrown: shards run inside futures, and a raw exception would lose
-  // the shard identity the failover path needs.
-  try {
-    const int instance = shards_[shard]->instance();
-    const bool timeline = bglResetTimeline(instance) == BGL_SUCCESS;
-    const auto start = Clock::now();
-    const double logL = shards_[shard]->logLikelihood(tree);
-    double seconds = elapsedSeconds(start);
-    if (timeline) {
-      // Prefer the obs-layer timeline: on simulated accelerator profiles the
-      // roofline-modeled time is the honest per-device time base, and it is
-      // immune to host-side oversubscription when shards run concurrently.
-      BglTimeline tl{};
-      if (bglGetTimeline(instance, &tl) == BGL_SUCCESS && tl.modeledSeconds > 0.0) {
-        seconds = tl.modeledSeconds;
-      }
-    }
-    if (shard < split_.debugSlowdown.size() && split_.debugSlowdown[shard] > 0.0) {
-      seconds *= split_.debugSlowdown[shard];
-    }
-    shardSeconds_[shard] = seconds;
-    return logL;
-  } catch (const Error& e) {
-    roundErrorCode_[shard] = e.code() != 0 ? e.code() : kErrGeneral;
-    roundErrorMessage_[shard] = e.what();
-  } catch (const std::bad_alloc&) {
-    roundErrorCode_[shard] = kErrOutOfMemory;
-    roundErrorMessage_[shard] = "out of host memory evaluating shard";
-  } catch (const std::exception& e) {
-    roundErrorCode_[shard] = kErrGeneral;
-    roundErrorMessage_[shard] = e.what();
-  }
-  shardSeconds_[shard] = 0.0;
-  return 0.0;
-}
-
-double SplitLikelihood::evaluateRound(const Tree& tree) {
-  double total = 0.0;
-  if (!split_.concurrent || shards_.size() == 1) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      total += evaluateShard(i, tree);
-    }
-  } else {
-    std::vector<std::future<double>> futures;
-    futures.reserve(shards_.size() - 1);
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      futures.push_back(std::async(std::launch::async, [this, i, &tree] {
-        return evaluateShard(i, tree);
-      }));
-    }
-    total = evaluateShard(0, tree);
-    for (auto& f : futures) total += f.get();
-  }
-  return total;
+  return failed;
 }
 
 double SplitLikelihood::logLikelihood(const Tree& tree) {
-  const int maxAttempts = static_cast<int>(shardOptions_.size()) + 2;
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    roundErrorCode_.assign(shards_.size(), 0);
-    roundErrorMessage_.assign(shards_.size(), std::string());
-    const double total = evaluateRound(tree);
-
-    std::vector<std::size_t> failed;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (roundErrorCode_[i] == 0) continue;
-      if (!isHardError(roundErrorCode_[i])) {
-        // Programming error: reproduces on any shard, never failed over.
-        throw Error(roundErrorMessage_[i], roundErrorCode_[i]);
-      }
-      failed.push_back(i);
+  evaluate(tree);
+  const double total = roundLogL_;
+  if (balancer_ == nullptr) return total;
+  // The balancer is indexed over active_ (the non-quarantined shards);
+  // translate between balancer slots and shard indices.
+  for (std::size_t j = 0; j < active_.size(); ++j) {
+    const auto i = static_cast<std::size_t>(active_[j]);
+    if (shardPatterns_[i] > 0 && shardSeconds_[i] > 0.0) {
+      balancer_->observe(static_cast<int>(j), shardPatterns_[i], shardSeconds_[i]);
     }
-
-    if (failed.empty()) {
-      if (balancer_ != nullptr) {
-        // The balancer is indexed over active_ (the non-quarantined
-        // shards); translate between balancer slots and shard indices.
-        for (std::size_t j = 0; j < active_.size(); ++j) {
-          const auto i = static_cast<std::size_t>(active_[j]);
-          if (shardPatterns_[i] > 0 && shardSeconds_[i] > 0.0) {
-            balancer_->observe(static_cast<int>(j), shardPatterns_[i],
-                               shardSeconds_[i]);
-          }
-        }
-        const auto& observed = balancer_->speeds();
-        for (std::size_t j = 0; j < active_.size() && j < observed.size(); ++j) {
-          currentSpeeds_[static_cast<std::size_t>(active_[j])] = observed[j];
-        }
-        std::vector<int> activeShares(active_.size());
-        for (std::size_t j = 0; j < active_.size(); ++j) {
-          activeShares[j] = shardPatterns_[static_cast<std::size_t>(active_[j])];
-        }
-        const auto newActive = balancer_->rebalance(data_.patterns, activeShares);
-        if (!newActive.empty()) {
-          std::vector<int> newShares(shards_.size(), 0);
-          for (std::size_t j = 0; j < active_.size(); ++j) {
-            newShares[static_cast<std::size_t>(active_[j])] = newActive[j];
-          }
-          const int migrated = sched::migratedItems(shardPatterns_, newShares);
-          sched::noteRebalance(static_cast<std::uint64_t>(migrated));
-          obs::Journal::instance().append(
-              obs::JournalKind::kRebalance, 0, /*instance=*/-1,
-              /*resource=*/-1, /*shard=*/-1,
-              "adaptive re-split migrated " + std::to_string(migrated) +
-                  " patterns across " + std::to_string(active_.size()) +
-                  " shard(s)");
-          obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
-                               "sched.rebalance");
-          build(tree, newShares);
-          ++rebalances_;
-        }
-      }
-      return total;
-    }
-
-    if (!split_.failover) {
-      throw Error(roundErrorMessage_[failed.front()],
-                  roundErrorCode_[failed.front()]);
-    }
-    for (std::size_t i : failed) {
-      quarantine(i, roundErrorMessage_[i], roundErrorCode_[i]);
-    }
-    ++failovers_;
-    sched::noteFailover(static_cast<std::uint64_t>(failed.size()));
-    obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
-                         "sched.failover");
-    build(tree, sharesAfterQuarantine());
-    obs::Journal::instance().append(
-        obs::JournalKind::kRetry, 0, /*instance=*/-1, /*resource=*/-1,
-        /*shard=*/-1,
-        "shard set rebuilt after " + std::to_string(failed.size()) +
-            " shard failure(s); retrying the evaluation");
   }
-  throw Error("SplitLikelihood: evaluation still failing after " +
-                  std::to_string(maxAttempts) + " failovers: " + lastFailure_,
-              lastFailureCode_ != 0 ? lastFailureCode_ : kErrHardware);
+  const auto& observed = balancer_->speeds();
+  for (std::size_t j = 0; j < active_.size() && j < observed.size(); ++j) {
+    currentSpeeds_[static_cast<std::size_t>(active_[j])] = observed[j];
+  }
+  std::vector<int> activeShares(active_.size());
+  for (std::size_t j = 0; j < active_.size(); ++j) {
+    activeShares[j] = shardPatterns_[static_cast<std::size_t>(active_[j])];
+  }
+  const auto newActive = balancer_->rebalance(data_.patterns, activeShares);
+  if (newActive.empty()) return total;
+  std::vector<int> newShares(shards_.size(), 0);
+  for (std::size_t j = 0; j < active_.size(); ++j) {
+    newShares[static_cast<std::size_t>(active_[j])] = newActive[j];
+  }
+  const int migrated = sched::migratedItems(shardPatterns_, newShares);
+  sched::noteRebalance(static_cast<std::uint64_t>(migrated));
+  journal(obs::JournalKind::kRebalance,
+          "adaptive re-split migrated " + std::to_string(migrated) +
+              " patterns across " + std::to_string(active_.size()) + " shard(s)");
+  obs::ScopedSpan span(sched::recorder(), obs::Category::kOperation,
+                       "sched.rebalance");
+  shardPatterns_ = newShares;
+  build(tree);
+  ++rebalances_;
+  return total;
 }
 
 const std::string& SplitLikelihood::implName(int shard) const {

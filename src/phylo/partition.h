@@ -1,9 +1,11 @@
 // Partitioned and multi-device analyses.
 //
 // Section IV-F: "application programs running partitioned analyses can
-// invoke multiple library instances, one for each data subset" — each
-// partition gets its own model, its own instance, and (optionally) its own
-// hardware resource; instance evaluations run concurrently.
+// invoke multiple library instances, one for each data subset".
+// PartitionedLikelihood runs one multi-partition instance per resource
+// instead, the layout BEAGLE 4.1 made standard: partitions of one shape
+// share a concatenated pattern axis, each keeps its own model, and the
+// per-resource instances evaluate concurrently.
 //
 // The paper's conclusion sketches the complementary feature: splitting a
 // single data subset across multiple devices by site patterns, with one
@@ -11,9 +13,14 @@
 // scheduler (src/sched/), closes the loop the conclusion leaves open:
 // shards can be sized proportionally to calibrated per-resource speeds,
 // and rebalanced between evaluation rounds from observed per-shard times.
+//
+// Both run one failover policy (detail::FailoverCore): a unit that fails
+// hard — a shard of a split, a resource of a partitioned analysis — is
+// quarantined and the survivors take over its work.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +33,74 @@
 
 namespace bgl::phylo {
 
+namespace detail {
+
+/// One unit's failure in a build or an evaluation round.
+struct UnitError {
+  int unit = -1;
+  int code = 0;  ///< 0 = no failure
+  std::string message;
+};
+
+/// The failover policy SplitLikelihood and PartitionedLikelihood share
+/// (docs/ROBUSTNESS.md, "Failover policy"). A unit is what one hard error
+/// takes out of service. The core classifies errors (hard: HARDWARE,
+/// OUT_OF_MEMORY, GENERAL, UNIDENTIFIED_EXCEPTION, NO_RESOURCE,
+/// NO_IMPLEMENTATION; anything else propagates), quarantines units,
+/// retries a build or an evaluation round at most units + 2 times, and
+/// moves all work to the host CPU once every unit is quarantined. Each
+/// failover counts in sched::counters(), runs under a `sched.failover`
+/// span and journals every step. A class supplies only how its work is
+/// built, evaluated and reassigned.
+class FailoverCore {
+ protected:
+  enum class UnitKind { kShard, kResource };
+
+  FailoverCore(const char* owner, UnitKind kind, bool enabled, bool cpuFallback)
+      : owner_(owner), kind_(kind), enabled_(enabled), cpuFallback_(cpuFallback) {}
+
+  /// Build every unit's instance, each through buildUnit(); false once
+  /// one of them failed hard.
+  virtual bool buildUnits(const Tree& tree) = 0;
+  /// Evaluate every unit once; the units that failed.
+  virtual std::vector<UnitError> evaluateUnits(const Tree& tree) = 0;
+  /// Last resort: move all work onto the host CPU; the unit carrying it.
+  virtual int moveToHostCpu() = 0;
+  /// Hand the quarantined units' work to the survivors; the journal note.
+  virtual std::string reassign() = 0;
+
+  /// Build with failover.
+  void build(const Tree& tree);
+  /// Evaluate with failover; returns once a round succeeded.
+  void evaluate(const Tree& tree);
+  /// Run one unit's build. With failover on, a hard failure quarantines
+  /// the unit and returns false; anything else propagates.
+  bool buildUnit(int unit, const std::function<void()>& build);
+  /// Units not quarantined, ascending.
+  std::vector<int> survivors() const;
+
+  std::vector<char> quarantined_;        ///< per unit
+  std::vector<std::string> unitErrors_;  ///< per unit: why it was quarantined
+  std::vector<int> unitResource_;        ///< per unit, UnitKind::kResource only
+  int failovers_ = 0;
+  bool cpuFallbackUsed_ = false;
+
+ private:
+  void quarantine(const UnitError& error);
+  void reassignWork();
+  [[noreturn]] void fail(const std::string& what) const;
+  const char* unitName() const;
+
+  const char* owner_;
+  UnitKind kind_;
+  bool enabled_;
+  bool cpuFallback_;
+  std::string lastFailure_;
+  int lastFailureCode_ = 0;
+};
+
+}  // namespace detail
+
 /// One data subset of a partitioned analysis.
 struct PartitionSpec {
   PatternSet data;
@@ -35,29 +110,21 @@ struct PartitionSpec {
 
 /// Policy knobs for PartitionedLikelihood.
 struct PartitionOptions {
-  /// Batch partitions into ONE multi-partition instance per resource
-  /// (bglSetPatternPartitions + the ByPartition calls): partitions of a
-  /// compatible shape share a concatenated pattern axis, and the level
-  /// batcher fuses all of their per-level work into the same grid
-  /// launches — launch count stays O(tree depth), not O(depth x
-  /// partitions). false: the legacy one-instance-per-partition layout.
-  bool batched = true;
-  /// Evaluate instances concurrently (per-resource groups when batched,
-  /// per-partition instances otherwise).
+  /// Evaluate the per-resource instances concurrently.
   bool concurrent = true;
   /// Concurrency cap for the instance evaluations. 0 = the hardware
   /// concurrency of the host. Never more threads than instances.
   int maxConcurrency = 0;
-  /// Batched mode: when an instance fails hard (device fault, exhausted
-  /// memory, lost implementation), quarantine its resource and re-home
-  /// its partitions onto the surviving resources, then retry the round.
+  /// When an instance fails hard (device fault, exhausted memory, lost
+  /// implementation), quarantine its resource and re-home its partitions
+  /// onto the surviving resources, then retry.
   bool failover = true;
-  /// Last resort when every resource is quarantined: one host-CPU
-  /// instance carries all partitions.
+  /// Last resort when every resource is quarantined: host-CPU instances
+  /// carry all partitions.
   bool cpuFallback = true;
-  /// Batched mode: feed observed per-resource round times to the EWMA
-  /// balancer and re-home whole partitions across resources when the
-  /// predicted imbalance persists.
+  /// Feed observed per-resource round times to the EWMA balancer and
+  /// re-home whole partitions across resources when the predicted
+  /// imbalance persists.
   bool adaptive = false;
   double ewmaAlpha = 0.4;           ///< weight of the newest observation
   double imbalanceThreshold = 1.15; ///< max/min round-time ratio gate
@@ -65,25 +132,24 @@ struct PartitionOptions {
 };
 
 /// Multiple (model, data) subsets sharing one tree: the partitioned-
-/// analysis pattern of Section IV-F, upgraded from one instance per
-/// partition to one multi-partition instance per *resource*.
+/// analysis pattern of Section IV-F, with one multi-partition instance per
+/// *resource*.
 ///
-/// Batched mode groups partitions of compatible shape (resource, state
-/// count, categories, scaling, flags) into one instance whose pattern
-/// axis is the concatenation of the group's partitions. Each partition
-/// keeps its own substitution model (per-partition eigen / frequency /
-/// weight / rate slots), its own transition matrices (slot q*(2*tips-2) +
-/// edge) and its own pattern range of the shared partials and scale
-/// buffers. One evaluation issues one fused launch set per tree level for
-/// ALL partitions and returns every per-partition log-likelihood in a
-/// single readback.
-class PartitionedLikelihood {
+/// Partitions of compatible shape (resource, state count, categories,
+/// scaling, flags) form a group: one instance whose pattern axis is the
+/// concatenation of the group's partitions. Each partition keeps its own
+/// substitution model (per-partition eigen / frequency / weight / rate
+/// slots), its own transition matrices (slot q*(2*tips-2) + edge) and its
+/// own pattern range of the shared partials and scale buffers. One
+/// evaluation issues one fused launch set per tree level for ALL
+/// partitions and returns every per-partition log-likelihood in a single
+/// readback. Failover units are resources: a failing resource's
+/// partitions are re-homed onto the survivors, largest first onto the
+/// least-loaded resource, and the groups are rebuilt.
+class PartitionedLikelihood : private detail::FailoverCore {
  public:
   PartitionedLikelihood(const Tree& tree, const std::vector<PartitionSpec>& specs,
-                        bool concurrent = true);
-  PartitionedLikelihood(const Tree& tree, const std::vector<PartitionSpec>& specs,
-                        const PartitionOptions& options);
-  ~PartitionedLikelihood();
+                        const PartitionOptions& options = {});
 
   PartitionedLikelihood(const PartitionedLikelihood&) = delete;
   PartitionedLikelihood& operator=(const PartitionedLikelihood&) = delete;
@@ -93,17 +159,22 @@ class PartitionedLikelihood {
 
   int partitionCount() const { return static_cast<int>(specs_.size()); }
   const std::string& implName(int partition) const;
+  /// Options `partition` currently runs with (the host-CPU options once
+  /// the CPU fallback engaged).
+  const LikelihoodOptions& partitionOptions(int partition) const {
+    return specs_[static_cast<std::size_t>(partition)].options;
+  }
   /// Per-partition log likelihoods from the last logLikelihood() call
   /// (original partition order).
   const std::vector<double>& partitionLogLikelihoods() const {
     return partitionLogL_;
   }
-  /// Library instances currently serving the partitions (batched: one per
-  /// resource group; legacy: one per partition).
-  int instanceCount() const;
-  /// Group index serving `partition` (batched mode; partition index in
-  /// legacy mode).
-  int groupOf(int partition) const;
+  /// Library instances currently serving the partitions (one per group).
+  int instanceCount() const { return static_cast<int>(groups_.size()); }
+  /// Group index serving `partition`.
+  int groupOf(int partition) const {
+    return partitionGroup_[static_cast<std::size_t>(partition)];
+  }
   /// Highest number of instance evaluations that ran at the same time in
   /// any round so far (bounded by PartitionOptions::maxConcurrency).
   int peakConcurrency() const { return peakConcurrency_; }
@@ -121,6 +192,21 @@ class PartitionedLikelihood {
   std::uint64_t lastKernelLaunches() const { return lastKernelLaunches_; }
 
  private:
+  /// Owns one library instance; finalizes it on destruction.
+  class OwnedInstance {
+   public:
+    OwnedInstance() = default;
+    OwnedInstance(OwnedInstance&& other) noexcept : id_(other.id_) { other.id_ = -1; }
+    OwnedInstance& operator=(OwnedInstance&&) = delete;
+    ~OwnedInstance() { reset(-1); }
+    /// Finalize the held instance, then hold `id`.
+    void reset(int id);
+    int id() const { return id_; }
+
+   private:
+    int id_ = -1;
+  };
+
   struct Group {
     int resource = -1;
     int states = 0;
@@ -129,41 +215,33 @@ class PartitionedLikelihood {
     long preferenceFlags = 0;
     long requirementFlags = 0;
     std::vector<int> members;  ///< partition indices, concatenation order
-    int instance = -1;
+    OwnedInstance instance;
     std::string implName;
     int patterns = 0;
     double seconds = 0.0;          ///< last round
     std::uint64_t launches = 0;    ///< last round
-    int errorCode = 0;             ///< last round; 0 = succeeded
-    std::string errorMessage;
   };
 
-  void destroyGroups();
+  bool buildUnits(const Tree& tree) override;
+  std::vector<detail::UnitError> evaluateUnits(const Tree& tree) override;
+  int moveToHostCpu() override;
+  std::string reassign() override;
   void buildGroupInstance(Group& group);
-  void buildGroupsWithFailover();
-  bool tryBuildGroups();
-  void quarantineResource(int resource, const std::string& reason, int code);
-  void rehomeQuarantined();
+  void evaluateGroup(const Group& group, const Tree& tree);
+  int unitOf(int resource) const;
   void rebuildBalancer();
-  void evaluateGroup(Group& group, const Tree& tree);
-  double evaluateLegacy(const Tree& tree);
-  double evaluateBatched(const Tree& tree);
   void maybeRebalance();
 
   Tree tree_;
   std::vector<PartitionSpec> specs_;  ///< models borrowed, must outlive
   PartitionOptions options_;
 
-  // Legacy one-instance-per-partition layout.
-  std::vector<std::unique_ptr<TreeLikelihood>> parts_;
-
-  // Batched per-resource layout. partitionResource_ is the single source
-  // of truth; groups_ is derived from it on every (re)build.
+  // partitionResource_ is the single source of truth; groups_ is derived
+  // from it on every (re)build. Units are the distinct resources
+  // (unitResource_, first-appearance order).
   std::vector<Group> groups_;
   std::vector<int> partitionResource_;
   std::vector<int> partitionGroup_;
-  std::vector<int> resourceIds_;        ///< distinct resources, stable order
-  std::vector<char> resourceQuarantined_;
   std::unique_ptr<sched::LoadBalancer> balancer_;  ///< over active resources
   std::vector<int> balancerResources_;
 
@@ -171,11 +249,7 @@ class PartitionedLikelihood {
   std::vector<double> lastInstanceSeconds_;
   std::uint64_t lastKernelLaunches_ = 0;
   int peakConcurrency_ = 0;
-  int failovers_ = 0;
   int rebalances_ = 0;
-  bool cpuFallbackUsed_ = false;
-  std::string lastFailure_;
-  int lastFailureCode_ = 0;
 };
 
 /// Assign each partition a preferred resource using the scheduler's
@@ -233,20 +307,14 @@ struct SplitOptions {
 /// division preserves per-pattern weights, so the shard log likelihoods
 /// add up to exactly the single-instance value in every mode.
 ///
-/// Failure handling (SplitOptions::failover): a shard whose instance
-/// fails hard — BGL_ERROR_HARDWARE, _OUT_OF_MEMORY, _GENERAL,
-/// _UNIDENTIFIED_EXCEPTION, _NO_RESOURCE or _NO_IMPLEMENTATION, at
-/// construction or during an evaluation round — is quarantined: its
-/// instance is destroyed, its patterns are re-apportioned across the
-/// surviving shards (proportionally to the current speed estimates), the
-/// adaptive balancer is rebuilt over the survivors, and the round is
-/// retried. When every shard is quarantined, a host-CPU fallback instance
-/// takes the whole alignment (SplitOptions::cpuFallback). Programming
-/// errors (BGL_ERROR_OUT_OF_RANGE and friends) are never failed over;
-/// they propagate. Every failover is recorded in the scheduler counters
-/// (sched::counters().failovers / .quarantinedShards) and as a
-/// `sched.failover` span on sched::recorder().
-class SplitLikelihood {
+/// Failover units are shards (SplitOptions::failover): a shard whose
+/// instance fails hard is quarantined, its patterns are re-apportioned
+/// across the surviving shards proportionally to the current speed
+/// estimates, the adaptive balancer is rebuilt over the survivors, and
+/// the round is retried; when every shard is quarantined, shard 0 is
+/// rebuilt on the host CPU with the whole alignment. The policy is
+/// detail::FailoverCore's (docs/ROBUSTNESS.md, "Failover policy").
+class SplitLikelihood : private detail::FailoverCore {
  public:
   /// Equal round-robin split (the original static policy).
   /// `shardOptions[i]` selects the resource/implementation of shard i.
@@ -280,7 +348,7 @@ class SplitLikelihood {
   std::vector<int> quarantinedShards() const;
   /// Error message that quarantined `shard` ("" when not quarantined).
   const std::string& shardError(int shard) const {
-    return shardErrors_[static_cast<std::size_t>(shard)];
+    return unitErrors_[static_cast<std::size_t>(shard)];
   }
   /// True once the all-shards-failed CPU fallback has been engaged.
   bool usedCpuFallback() const { return cpuFallbackUsed_; }
@@ -289,12 +357,11 @@ class SplitLikelihood {
   std::vector<double> shardSpeeds() const;
 
  private:
-  void build(const Tree& tree, const std::vector<int>& shares);
-  bool tryBuild(const Tree& tree, const std::vector<int>& shares);
-  double evaluateShard(std::size_t shard, const Tree& tree);
-  double evaluateRound(const Tree& tree);
-  void quarantine(std::size_t shard, const std::string& reason, int code);
-  std::vector<int> sharesAfterQuarantine();
+  bool buildUnits(const Tree& tree) override;
+  std::vector<detail::UnitError> evaluateUnits(const Tree& tree) override;
+  int moveToHostCpu() override;
+  std::string reassign() override;
+  void resetBalancer(const std::vector<double>& speeds);
 
   const SubstitutionModel* model_ = nullptr;  ///< borrowed, must outlive
   PatternSet data_;
@@ -306,21 +373,14 @@ class SplitLikelihood {
   std::vector<std::unique_ptr<TreeLikelihood>> shards_;  ///< null = idle shard
   std::vector<int> shardPatterns_;
   std::vector<double> shardSeconds_;
+  double roundLogL_ = 0.0;  ///< last round's sum over shards
   int rebalances_ = 0;
 
-  // Failover state. `active_` lists the non-quarantined shard indices;
-  // the balancer (when present) is always sized to `active_`, so
-  // quarantined shards can never be handed work again.
-  std::vector<char> quarantined_;
+  // `active_` lists the non-quarantined shard indices; the balancer (when
+  // present) is always sized to `active_`, so quarantined shards can never
+  // be handed work again.
   std::vector<int> active_;
   std::vector<double> currentSpeeds_;   ///< full-size, observation-refreshed
-  std::vector<std::string> shardErrors_;
-  std::vector<int> roundErrorCode_;     ///< per-round: 0 = shard succeeded
-  std::vector<std::string> roundErrorMessage_;
-  std::string lastFailure_;
-  int lastFailureCode_ = 0;
-  int failovers_ = 0;
-  bool cpuFallbackUsed_ = false;
 };
 
 /// Deal `data`'s patterns round-robin into `shards` subsets (weights kept).

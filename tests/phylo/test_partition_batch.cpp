@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -180,16 +181,24 @@ TEST(PartitionedBatch, BatchedLaunchCountCollapses) {
   PartitionedLikelihood one(p.tree, p.specs, batched);
   const double batchedLogL = one.logLikelihood(p.tree);
 
-  PartitionOptions legacy;
-  legacy.batched = false;
-  PartitionedLikelihood many(p.tree, p.specs, legacy);
-  const double legacyLogL = many.logLikelihood(p.tree);
+  // Per-instance side: one TreeLikelihood per partition, each round's
+  // launches read off the instance timeline.
+  double perInstanceLogL = 0.0;
+  std::uint64_t perInstanceLaunches = 0;
+  for (const auto& spec : p.specs) {
+    TreeLikelihood instance(p.tree, *spec.model, spec.data, spec.options);
+    ASSERT_EQ(bglResetTimeline(instance.instance()), BGL_SUCCESS);
+    perInstanceLogL += instance.logLikelihood(p.tree);
+    BglTimeline timeline{};
+    ASSERT_EQ(bglGetTimeline(instance.instance(), &timeline), BGL_SUCCESS);
+    perInstanceLaunches += timeline.kernelLaunches;
+  }
 
-  EXPECT_EQ(batchedLogL, legacyLogL);  // same family, bitwise
+  EXPECT_EQ(batchedLogL, perInstanceLogL);  // same family, bitwise
   ASSERT_GT(one.lastKernelLaunches(), 0u);
-  ASSERT_GT(many.lastKernelLaunches(), 0u);
+  ASSERT_GT(perInstanceLaunches, 0u);
   // 8 partitions in one instance: well under half the per-partition count.
-  EXPECT_LT(2 * one.lastKernelLaunches(), many.lastKernelLaunches());
+  EXPECT_LT(2 * one.lastKernelLaunches(), perInstanceLaunches);
 }
 
 class PartitionedFailover : public ::testing::Test {
@@ -298,19 +307,53 @@ TEST_F(PartitionedFailover, FailoverDisabledPropagatesTheError) {
   }
 }
 
-// Satellite 1: evaluation concurrency is bounded. The legacy layout used
-// to spawn one std::async thread per partition; both layouts now run a
-// bounded worker team and report the observed peak.
+// A constructor that throws after building some groups must finalize
+// them: partition 0's host-CPU group is built before partition 1's device
+// group fails its first allocation.
+TEST_F(PartitionedFailover, ThrowingConstructorFinalizesBuiltGroups) {
+  Problem p = makeProblem({90, 110});
+  for (auto& spec : p.specs) spec.options.categories = 4;
+  p.specs[0].options.resources = {perf::kHostCpu};
+  p.specs[0].options.requirementFlags = BGL_FLAG_FRAMEWORK_CPU |
+                                        BGL_FLAG_THREADING_NONE |
+                                        BGL_FLAG_VECTOR_NONE |
+                                        BGL_FLAG_PRECISION_DOUBLE;
+  p.specs[1].options.resources = {perf::kQuadroP5000};
+  p.specs[1].options.requirementFlags =
+      BGL_FLAG_FRAMEWORK_CUDA | BGL_FLAG_PRECISION_DOUBLE;
+
+  PartitionOptions noFailover;
+  noFailover.concurrent = false;
+  noFailover.failover = false;
+  PartitionOptions noFallback;
+  noFallback.concurrent = false;
+  noFallback.cpuFallback = false;
+  for (const PartitionOptions& options : {noFailover, noFallback}) {
+    BglProcessStatistics before{};
+    ASSERT_EQ(bglGetProcessStatistics(&before), BGL_SUCCESS);
+    ASSERT_EQ(bglSetFaultSpec("alloc:1"), BGL_SUCCESS);
+    EXPECT_THROW(PartitionedLikelihood(p.tree, p.specs, options), Error);
+    ASSERT_EQ(bglSetFaultSpec(""), BGL_SUCCESS);
+    BglProcessStatistics after{};
+    ASSERT_EQ(bglGetProcessStatistics(&after), BGL_SUCCESS);
+    EXPECT_EQ(after.liveInstances, before.liveInstances)
+        << "failover=" << options.failover;
+  }
+}
+
+// Satellite 1: evaluation concurrency is bounded. Instances run on a
+// bounded worker team that reports the observed peak.
 TEST(PartitionedConcurrency, PeakNeverExceedsTheCap) {
   Problem p = makeProblem({40, 40, 40, 40, 40, 40, 40, 40, 40, 40});
-  for (auto& spec : p.specs) {
-    spec.options.categories = 2;
+  for (std::size_t q = 0; q < p.specs.size(); ++q) {
+    auto& spec = p.specs[q];
+    // Ten distinct category counts: ten groups, ten instances to schedule.
+    spec.options.categories = static_cast<int>(q) + 1;
     spec.options.resources = {perf::kHostCpu};
     spec.options.requirementFlags =
         BGL_FLAG_THREADING_NONE | BGL_FLAG_VECTOR_NONE | BGL_FLAG_PRECISION_DOUBLE;
   }
   PartitionOptions options;
-  options.batched = false;  // ten instances to schedule
   options.maxConcurrency = 2;
   PartitionedLikelihood like(p.tree, p.specs, options);
   const double total = like.logLikelihood(p.tree);

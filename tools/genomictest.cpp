@@ -63,8 +63,6 @@ void printUsage(const char* program) {
       "                         (fused level-order launches; see\n"
       "                         docs/PERFORMANCE.md, Multi-partition\n"
       "                         evaluation)\n"
-      "  --unbatched            with --partitions: the legacy layout, one\n"
-      "                         instance per partition\n"
       "  --validate-partitions  with --partitions: compare every partition's\n"
       "                         logL bitwise against a single-partition\n"
       "                         instance with the same options (mismatch\n"
@@ -267,14 +265,12 @@ int main(int argc, char** argv) {
 
   const int partitionCount = args.getInt("partitions", 0);
   if (partitionCount > 0) {
-    phylo::PartitionOptions options;
-    options.batched = !args.has("unbatched");
     try {
       const auto result = harness::runPartitionedThroughput(
-          spec, partitionCount, options, args.has("validate-partitions"));
-      std::printf("partitions: %d across %d instance(s) (%s layout)\n",
-                  result.partitions, result.instances,
-                  options.batched ? "batched multi-partition" : "one per partition");
+          spec, partitionCount, phylo::PartitionOptions{},
+          args.has("validate-partitions"));
+      std::printf("partitions: %d across %d instance(s) (batched multi-partition layout)\n",
+                  result.partitions, result.instances);
       std::printf("implementation: %s\n",
                   result.implNames.empty() ? "?" : result.implNames.front().c_str());
       std::printf("time per evaluation: %.6f s (device time base)\n", result.seconds);
