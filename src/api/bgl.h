@@ -423,7 +423,9 @@ int bglWaitForComputation(int instance);
  * Restrict a threaded implementation (or an OpenCL CPU device, via device
  * fission) to `threadCount` host threads. Used by the multicore scaling
  * benchmarks; returns BGL_ERROR_UNIMPLEMENTED for implementations without
- * thread control.
+ * thread control. A count above 1024 is rejected with
+ * BGL_ERROR_OUT_OF_RANGE on every instance, a count below 1 on instances
+ * with thread control.
  */
 int bglSetThreadCount(int instance, int threadCount);
 

@@ -76,6 +76,9 @@ struct InstanceSlot {
 std::mutex g_mutex;
 std::vector<InstanceSlot> g_instances;
 
+/// Ceiling on bglSetThreadCount (documented in api/bgl.h).
+constexpr int kMaxThreadCount = 1024;
+
 /// Detail for the most recent failed call on this thread (bglGetLastErrorMessage).
 thread_local std::string t_lastError;
 
@@ -650,6 +653,13 @@ int bglWaitForComputation(int instance) {
 }
 
 int bglSetThreadCount(int instance, int threadCount) {
+  // The count sizes thread pools and per-call thread teams; bound it before
+  // any implementation sees it.
+  if (threadCount > kMaxThreadCount) {
+    setLastError("thread count " + std::to_string(threadCount) + " exceeds " +
+                 std::to_string(kMaxThreadCount));
+    return BGL_ERROR_OUT_OF_RANGE;
+  }
   return withInstance(instance,
                       [&](auto& impl) { return impl.setThreadCount(threadCount); });
 }

@@ -11,7 +11,9 @@
 // a partitioned one with every operation on the whole-axis slot of the
 // range table (api/implementation.h), which levels exactly as the
 // unpartitioned analysis would. The accelerator path (accel/accel_impl.h)
-// and the threaded CPU implementations (cpu/threaded_impl.h) share it.
+// and the futures CPU implementation (cpu/threaded_impl.h) share it; the
+// other CPU implementations run pattern slabs in operation order and need
+// no levels.
 // levelizeOperations, the unpartitioned analysis, remains for callers that
 // levelize a plain BglOperation batch themselves (benchmarks, tests).
 #pragma once

@@ -3,13 +3,15 @@
 // This is the serial "implementation base-code" of the paper's Fig. 1:
 // straightforward scalar loops, with whatever auto-vectorization the
 // compiler applies — the benchmarks' comparison baseline. Vectorized
-// (simd_impl.h) and threaded (threaded_impl.h) implementations derive
-// from this class and override the compute hooks only.
+// implementations (simd_impl.h) derive from this class and override the
+// compute kernels; threaded ones (threaded_impl.h) override how many
+// pattern slabs a batch is cut into and how the slabs run.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -21,7 +23,7 @@
 namespace bgl::cpu {
 
 /// Block t of [begin, end) cut into nt equal blocks (trailing blocks may be
-/// short or empty) — how the threaded implementations split a range.
+/// short or empty) — how the CPU families cut the pattern axis into slabs.
 inline std::pair<int, int> patternBlock(int begin, int end, int nt, int t) {
   const int block = (end - begin + nt - 1) / nt;
   const int kBegin = begin + t * block;
@@ -534,45 +536,58 @@ class CpuImpl : public Implementation {
   /// Kernel flavor used in trace span names ("serial", "sse", "avx", ...).
   virtual const char* kernelLabel() const { return "serial"; }
 
-  /// Level-order batching applies unless the instance was created
-  /// synchronous-only (BGL_FLAG_COMPUTATION_SYNCH without ASYNCH). The
-  /// threaded subclasses fall back to the serial per-operation order in
-  /// that case so --sync runs define the reference bit pattern.
-  bool levelOrderEnabled() const {
-    return (config_.flags & BGL_FLAG_COMPUTATION_ASYNCH) != 0 ||
-           (config_.flags & BGL_FLAG_COMPUTATION_SYNCH) == 0;
+  using SlabFn = std::function<void(int)>;
+
+  /// Number of pattern slabs a batch is cut into (>= 1).
+  virtual int slabCount() const { return 1; }
+
+  /// Run slab(t) for t in [0, slabs) and return when all are done.
+  virtual void runSlabs(int slabs, const SlabFn& slab) {
+    for (int t = 0; t < slabs; ++t) slab(t);
   }
 
-  /// Execute a validated batch. The serial base runs operations in order,
-  /// each over its slot's pattern range — the reference FP sequence the
-  /// level-order paths must reproduce.
+  /// Execute a validated batch: [0, patternCount) is cut into slabCount()
+  /// slabs, and each slab walks the batch in its original order — execute,
+  /// rescale, accumulate, each over the operation's slot range intersected
+  /// with the slab. Per pattern this is the serial FP sequence, whatever
+  /// the slab count, buffer reuse or repeated scale targets in the batch.
   virtual void executePartitionedOperations(const BglOperationByPartition* ops,
                                             int count, int cumulativeScaleIndex) {
+    prepareOperations(ops, count);
+    const int slabs = slabCount();
+    runSlabs(slabs, [&](int t) {
+      obs::ScopedSpan span(recorder_, obs::Category::kWorker, kernelLabel(), t);
+      const auto [sBegin, sEnd] = patternBlock(0, config_.patternCount, slabs, t);
+      for (int i = 0; i < count; ++i) {
+        const auto& op = ops[i];
+        const int kBegin = std::max(sBegin, partBegin_[op.partition]);
+        const int kEnd = std::min(sEnd, partEnd_[op.partition]);
+        if (kBegin >= kEnd) continue;
+        executeOperation(op, kBegin, kEnd);
+        rescaleOperation(op, kBegin, kEnd);
+        accumulateOperationScale(op, cumulativeScaleIndex, kBegin, kEnd);
+      }
+    });
+  }
+
+  /// Calling-thread work before a batch is dispatched: allocate every
+  /// destination and count one rescale event per rescaling operation.
+  void prepareOperations(const BglOperationByPartition* ops, int count) {
     for (int i = 0; i < count; ++i) {
-      obs::ScopedSpan span(recorder_, obs::Category::kOperation, kernelLabel());
-      executeWholeOperation(ops[i]);
-      rescaleOperation(ops[i]);
-      accumulateOperationScale(ops[i], cumulativeScaleIndex);
+      ensurePartials(ops[i].destinationPartials);
+      if (ops[i].destinationScaleWrite != BGL_OP_NONE) {
+        recorder_.count(obs::Counter::kRescaleEvents);
+      }
     }
   }
 
-  /// Block t of the operation's slot range cut into nt equal blocks
-  /// (trailing blocks may be short or empty).
-  std::pair<int, int> opBlock(const BglOperationByPartition& op, int t, int nt) const {
-    return patternBlock(partBegin_[op.partition], partEnd_[op.partition], nt, t);
-  }
-
-  void executeWholeOperation(const BglOperationByPartition& op) {
-    executeOperation(op, partBegin_[op.partition], partEnd_[op.partition]);
-  }
-
-  /// Compute one operation over a pattern sub-range of its slot
-  /// (thread-splittable).
+  /// Compute one operation over a pattern sub-range of its slot. The
+  /// destination must have been allocated (prepareOperations).
   void executeOperation(const BglOperationByPartition& op, int kBegin, int kEnd) {
     const int p = config_.patternCount;
     const int c = config_.categoryCount;
     const int s = config_.stateCount;
-    Real* dest = ensurePartials(op.destinationPartials).data();
+    Real* dest = partials_[op.destinationPartials].data();
     const Real* m1 = matrices_[op.child1TransitionMatrix].data();
     const Real* m2 = matrices_[op.child2TransitionMatrix].data();
 
@@ -594,31 +609,23 @@ class CpuImpl : public Implementation {
     }
   }
 
-  /// Rescale the operation's slot range of its destination. The level-order
-  /// threaded paths run rescales at the end of each level and defer
-  /// accumulateOperationScale to the end of the batch, in original
-  /// operation order (the serial FP sequence — see api/levelize.h).
-  void rescaleOperation(const BglOperationByPartition& op) {
+  /// Rescale [kBegin, kEnd) of the operation's destination (a sub-range of
+  /// its slot). Events are counted per operation by prepareOperations.
+  void rescaleOperation(const BglOperationByPartition& op, int kBegin, int kEnd) {
     if (op.destinationScaleWrite == BGL_OP_NONE) return;
-    obs::ScopedSpan span(recorder_, obs::Category::kRescale, "rescale");
-    recorder_.count(obs::Counter::kRescaleEvents);
-    Real* dest = partials_[op.destinationPartials].data();
-    Real* scale = scale_[op.destinationScaleWrite].data();
-    rescaleScalar<Real>(dest, scale, config_.patternCount, config_.categoryCount,
-                        config_.stateCount, partBegin_[op.partition],
-                        partEnd_[op.partition]);
+    rescaleScalar<Real>(partials_[op.destinationPartials].data(),
+                        scale_[op.destinationScaleWrite].data(), config_.patternCount,
+                        config_.categoryCount, config_.stateCount, kBegin, kEnd);
   }
 
   void accumulateOperationScale(const BglOperationByPartition& op,
-                                int cumulativeScaleIndex) {
+                                int cumulativeScaleIndex, int kBegin, int kEnd) {
     if (op.destinationScaleWrite == BGL_OP_NONE || cumulativeScaleIndex == BGL_OP_NONE) {
       return;
     }
     Real* cum = scale_[cumulativeScaleIndex].data();
     const Real* scale = scale_[op.destinationScaleWrite].data();
-    for (int k = partBegin_[op.partition]; k < partEnd_[op.partition]; ++k) {
-      cum[k] += scale[k];
-    }
+    for (int k = kBegin; k < kEnd; ++k) cum[k] += scale[k];
   }
 
   /// Root-site integration over one slot's pattern range. Per-pattern math

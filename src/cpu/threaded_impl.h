@@ -3,29 +3,37 @@
 //  FuturesImpl       (VI-A) one std::async future per topology-independent
 //                    partials operation; no intra-operation parallelism.
 //  ThreadCreateImpl  (VI-B) threads created and joined per updatePartials
-//                    call, splitting each operation's pattern range into
-//                    equal blocks; a 512-pattern minimum prevents small
-//                    problems from regressing below the serial
-//                    implementation.
+//                    call, splitting the pattern axis into equal slabs; a
+//                    512-pattern minimum prevents small problems from
+//                    regressing below the serial implementation.
 //  ThreadPoolImpl    (VI-C) a persistent pool fed through a work queue;
 //                    additionally parallelizes the root-likelihood
 //                    integration across patterns. This is the shipping
 //                    threaded model (Table III shows why).
 //
-// Each model has one execution path, the partitioned one: a partition-blind
-// batch arrives with every operation on the whole-axis slot of the range
-// table (api/implementation.h). All three batch level-order (api/levelize.h)
-// unless the instance was created synchronous-only or the batch repeats a
-// scale target: operations of one dependency level dispatch together — for
-// the intra-operation threaded models as one (operation, block-within-range)
-// grid per level instead of one join per operation — rescales run at the end
-// of each level, and cumulative scale accumulation is deferred to the end of
-// the batch in original operation order, so results stay bit-identical to
-// the serial path. Otherwise the batch runs in serial operation order, each
-// operation's range still split across threads.
+// Thread-create and the pool share CpuImpl's one execution body (pattern
+// slabs): [0, patternCount) is cut into one contiguous slab per thread, and
+// each slab runs the whole batch in original operation order — execute,
+// rescale, accumulate, each over the operation's slot range intersected
+// with the slab. Per pattern that is the serial FP sequence, so results are
+// bitwise by construction, with one fork/join per batch and no special
+// case for repeated scale targets or buffers a later operation overwrites.
+// The two models differ only in how the slab workers are obtained. Slabs
+// cut the whole axis, so a batch covering part of it (some partitions
+// only) keeps fewer workers busy; in-repo callers send whole-axis batches
+// to threaded CPU instances (PartitionedLikelihood re-evaluates every
+// member of a group, partition-blind calls cover the whole axis).
+//
+// Futures stay at operation level, as in VI-A: each dependency level
+// (api/levelize.h) runs as one future per operation, rescales run at the end
+// of each level and cumulative scale accumulation is deferred to the end of
+// the batch in original operation order. Run as slab workers, futures
+// would split operations the way thread-create does and lose the Table III
+// ordering the model exists to show. Synchronous-only instances and batches
+// that repeat a scale target take the one-slab body.
 #pragma once
 
-#include <algorithm>
+#include <functional>
 #include <future>
 #include <thread>
 #include <utility>
@@ -40,6 +48,11 @@ namespace bgl::cpu {
 /// Minimum pattern count before intra-operation threading engages
 /// (Section VI-B).
 inline constexpr int kMinPatternsForThreading = 512;
+
+/// Slabs for a pattern range of `patterns` on `threads` threads.
+inline int slabsFor(int patterns, int threads) {
+  return patterns >= kMinPatternsForThreading && threads > 1 ? threads : 1;
+}
 
 template <RealScalar Real>
 class FuturesImpl : public CpuImpl<Real> {
@@ -58,10 +71,11 @@ class FuturesImpl : public CpuImpl<Real> {
  protected:
   void executePartitionedOperations(const BglOperationByPartition* ops, int count,
                                     int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
+    if (!levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
       CpuImpl<Real>::executePartitionedOperations(ops, count, cumulativeScaleIndex);
       return;
     }
+    this->prepareOperations(ops, count);
     std::vector<int> level;
     const int maxLevel =
         levelizeOperationsByPartition(ops, count, this->slotCount(), level);
@@ -69,32 +83,49 @@ class FuturesImpl : public CpuImpl<Real> {
       std::vector<std::future<void>> futures;
       for (int i = 0; i < count; ++i) {
         if (level[i] != lv) continue;
-        this->ensurePartials(ops[i].destinationPartials);
+        const auto [kBegin, kEnd] = slotRange(ops[i]);
         if (static_cast<int>(futures.size()) + 1 >= maxConcurrent_) {
           // Run the final member of the level inline.
           obs::ScopedSpan span(this->recorder_, obs::Category::kOperation,
                                this->kernelLabel());
-          this->executeWholeOperation(ops[i]);
+          this->executeOperation(ops[i], kBegin, kEnd);
           continue;
         }
-        futures.push_back(std::async(std::launch::async, [this, &ops, i] {
-          obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                               this->kernelLabel(), i + 1);
-          this->executeWholeOperation(ops[i]);
-        }));
+        futures.push_back(std::async(
+            std::launch::async, [this, &op = ops[i], i, kBegin = kBegin, kEnd = kEnd] {
+              obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
+                                   this->kernelLabel(), i + 1);
+              this->executeOperation(op, kBegin, kEnd);
+            }));
       }
       for (auto& f : futures) f.get();
       for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) this->rescaleOperation(ops[i]);
+        if (level[i] != lv) continue;
+        const auto [kBegin, kEnd] = slotRange(ops[i]);
+        this->rescaleOperation(ops[i], kBegin, kEnd);
       }
     }
     // Deferred accumulation in batch order — the serial FP sequence.
     for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScale(ops[i], cumulativeScaleIndex);
+      const auto [kBegin, kEnd] = slotRange(ops[i]);
+      this->accumulateOperationScale(ops[i], cumulativeScaleIndex, kBegin, kEnd);
     }
   }
 
  private:
+  /// Level order applies unless the instance was created synchronous-only
+  /// (BGL_FLAG_COMPUTATION_SYNCH without ASYNCH), so --sync runs define the
+  /// reference bit pattern.
+  bool levelOrderEnabled() const {
+    const long flags = this->config_.flags;
+    return (flags & BGL_FLAG_COMPUTATION_ASYNCH) != 0 ||
+           (flags & BGL_FLAG_COMPUTATION_SYNCH) == 0;
+  }
+
+  std::pair<int, int> slotRange(const BglOperationByPartition& op) const {
+    return {this->partBegin_[op.partition], this->partEnd_[op.partition]};
+  }
+
   int maxConcurrent_ = static_cast<int>(std::thread::hardware_concurrency());
 };
 
@@ -111,93 +142,20 @@ class ThreadCreateImpl : public CpuImpl<Real> {
   }
 
  protected:
-  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
-      executeSerialOrder(ops, count, cumulativeScaleIndex);
-      return;
-    }
-    std::vector<int> level;
-    const int maxLevel =
-        levelizeOperationsByPartition(ops, count, this->slotCount(), level);
-    std::vector<int> members;
-    const int nt = threads_;
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      members.clear();
-      for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) members.push_back(i);
-      }
-      for (int i : members) this->ensurePartials(ops[i].destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      if (!threaded()) {
-        for (int i : members) this->executeWholeOperation(ops[i]);
-      } else {
-        // One thread team per LEVEL rather than per operation: the grid is
-        // (operation, block-within-range) cells, handed out round-robin, so
-        // a level of small operations still costs one create/join cycle.
-        const int cells = static_cast<int>(members.size()) * nt;
-        const int teamSize = std::min(nt, cells);
-        auto runCells = [this, &ops, &members, nt, cells](int first, int stride) {
-          for (int cell = first; cell < cells; cell += stride) {
-            const auto& op = ops[members[static_cast<std::size_t>(cell / nt)]];
-            const auto [kBegin, kEnd] = this->opBlock(op, cell % nt, nt);
-            if (kBegin < kEnd) this->executeOperation(op, kBegin, kEnd);
-          }
-        };
-        std::vector<std::thread> workers;
-        workers.reserve(teamSize - 1);
-        for (int w = 1; w < teamSize; ++w) {
-          workers.emplace_back([this, runCells, w, teamSize] {
-            obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                 this->kernelLabel(), w);
-            runCells(w, teamSize);
-          });
-        }
-        runCells(0, teamSize);
-        for (auto& w : workers) w.join();
-      }
-      for (int i : members) this->rescaleOperation(ops[i]);
-    }
-    for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScale(ops[i], cumulativeScaleIndex);
-    }
+  int slabCount() const override {
+    return slabsFor(this->config_.patternCount, threads_);
+  }
+
+  /// One freshly created thread per slab; the calling thread runs slab 0.
+  void runSlabs(int slabs, const typename CpuImpl<Real>::SlabFn& slab) override {
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(slabs - 1));
+    for (int t = 1; t < slabs; ++t) workers.emplace_back(std::cref(slab), t);
+    slab(0);
+    for (auto& w : workers) w.join();
   }
 
  private:
-  bool threaded() const {
-    return this->config_.patternCount >= kMinPatternsForThreading && threads_ > 1;
-  }
-
-  /// Serial operation order; each operation's range is split into equal
-  /// blocks with one freshly created thread per block.
-  void executeSerialOrder(const BglOperationByPartition* ops, int count,
-                          int cumulativeScaleIndex) {
-    const int nt = threaded() ? threads_ : 1;
-    for (int i = 0; i < count; ++i) {
-      const auto& op = ops[i];
-      this->ensurePartials(op.destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      std::vector<std::thread> workers;
-      workers.reserve(nt - 1);
-      for (int t = 1; t < nt; ++t) {
-        const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
-        if (kBegin >= kEnd) break;
-        workers.emplace_back([this, &op, t, kBegin = kBegin, kEnd = kEnd] {
-          obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                               this->kernelLabel(), t);
-          this->executeOperation(op, kBegin, kEnd);
-        });
-      }
-      const auto [kBegin, kEnd] = this->opBlock(op, 0, nt);
-      this->executeOperation(op, kBegin, kEnd);
-      for (auto& w : workers) w.join();
-      this->rescaleOperation(op);
-      this->accumulateOperationScale(op, cumulativeScaleIndex);
-    }
-  }
-
   int threads_ = static_cast<int>(std::thread::hardware_concurrency());
 };
 
@@ -222,49 +180,13 @@ class ThreadPoolImpl : public CpuImpl<Real> {
   }
 
  protected:
-  void executePartitionedOperations(const BglOperationByPartition* ops, int count,
-                                    int cumulativeScaleIndex) override {
-    if (!this->levelOrderEnabled() || !scaleWritesUniqueByPartition(ops, count)) {
-      executeSerialOrder(ops, count, cumulativeScaleIndex);
-      return;
-    }
-    std::vector<int> level;
-    const int maxLevel =
-        levelizeOperationsByPartition(ops, count, this->slotCount(), level);
-    std::vector<int> members;
-    const int nt = threads_;
-    for (int lv = 0; lv <= maxLevel; ++lv) {
-      members.clear();
-      for (int i = 0; i < count; ++i) {
-        if (level[i] == lv) members.push_back(i);
-      }
-      for (int i : members) this->ensurePartials(ops[i].destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      if (!threaded()) {
-        for (int i : members) this->executeWholeOperation(ops[i]);
-      } else {
-        // One pool dispatch per LEVEL over (operation, block-within-range)
-        // cells — the work-stealing loop balances unequal operations.
-        pool_->parallelFor(
-            static_cast<int>(members.size()) * nt,
-            [this, &ops, &members, nt](int cell) {
-              const auto& op = ops[members[static_cast<std::size_t>(cell / nt)]];
-              const int t = cell % nt;
-              const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
-              if (kBegin < kEnd) {
-                obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                     this->kernelLabel(), t);
-                this->executeOperation(op, kBegin, kEnd);
-              }
-            },
-            static_cast<unsigned>(nt));
-      }
-      for (int i : members) this->rescaleOperation(ops[i]);
-    }
-    for (int i = 0; i < count; ++i) {
-      this->accumulateOperationScale(ops[i], cumulativeScaleIndex);
-    }
+  int slabCount() const override {
+    return slabsFor(this->config_.patternCount, threads_);
+  }
+
+  /// One pool dispatch per batch; the calling thread participates.
+  void runSlabs(int slabs, const typename CpuImpl<Real>::SlabFn& slab) override {
+    pool_->parallelFor(slabs, slab, static_cast<unsigned>(slabs));
   }
 
   /// The pool approach also threads the root-likelihood integration
@@ -272,61 +194,21 @@ class ThreadPoolImpl : public CpuImpl<Real> {
   void computeRootSitesRange(const Real* partials, const Real* freqs,
                              const Real* weights, const Real* cumScale, int begin,
                              int end) override {
-    if (end - begin < kMinPatternsForThreading || threads_ <= 1) {
+    const int slabs = slabsFor(end - begin, threads_);
+    if (slabs == 1) {
       CpuImpl<Real>::computeRootSitesRange(partials, freqs, weights, cumScale, begin,
                                            end);
       return;
     }
-    const int nt = threads_;
-    pool_->parallelFor(
-        nt,
-        [this, partials, freqs, weights, cumScale, begin, end, nt](int t) {
-          const auto [kBegin, kEnd] = patternBlock(begin, end, nt, t);
-          if (kBegin < kEnd) {
-            obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                 "rootSites", t);
-            CpuImpl<Real>::computeRootSitesRange(partials, freqs, weights, cumScale,
-                                                 kBegin, kEnd);
-          }
-        },
-        static_cast<unsigned>(nt));
+    runSlabs(slabs, [&](int t) {
+      obs::ScopedSpan span(this->recorder_, obs::Category::kWorker, "rootSites", t);
+      const auto [kBegin, kEnd] = patternBlock(begin, end, slabs, t);
+      CpuImpl<Real>::computeRootSitesRange(partials, freqs, weights, cumScale, kBegin,
+                                           kEnd);
+    });
   }
 
  private:
-  bool threaded() const {
-    return this->config_.patternCount >= kMinPatternsForThreading && threads_ > 1;
-  }
-
-  /// Serial operation order; each operation's range is split across the
-  /// pool.
-  void executeSerialOrder(const BglOperationByPartition* ops, int count,
-                          int cumulativeScaleIndex) {
-    const int nt = threads_;
-    for (int i = 0; i < count; ++i) {
-      const auto& op = ops[i];
-      this->ensurePartials(op.destinationPartials);
-      obs::ScopedSpan opSpan(this->recorder_, obs::Category::kOperation,
-                             this->kernelLabel());
-      if (!threaded()) {
-        this->executeWholeOperation(op);
-      } else {
-        pool_->parallelFor(
-            nt,
-            [this, &op, nt](int t) {
-              const auto [kBegin, kEnd] = this->opBlock(op, t, nt);
-              if (kBegin < kEnd) {
-                obs::ScopedSpan span(this->recorder_, obs::Category::kWorker,
-                                     this->kernelLabel(), t);
-                this->executeOperation(op, kBegin, kEnd);
-              }
-            },
-            static_cast<unsigned>(nt));
-      }
-      this->rescaleOperation(op);
-      this->accumulateOperationScale(op, cumulativeScaleIndex);
-    }
-  }
-
   static unsigned defaultThreads() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 1 ? hw - 1 : 1;  // the calling thread participates

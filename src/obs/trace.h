@@ -67,7 +67,7 @@ enum class Category : int {
   kScaling,    ///< scale-factor accumulate / remove / reset
   kKernel,     ///< device kernel execution (simulated runtimes)
   kMemcpy,     ///< host<->device transfer (simulated runtimes)
-  kWorker,     ///< per-thread pattern block (threaded implementations)
+  kWorker,     ///< one CPU pattern slab or futures operation
   kStreamFlush,///< waiting for an async command stream to drain
   kEnqueue,    ///< API-thread enqueue of a streamed launch (flow start)
   kStreamSync, ///< cross-stream event signal/wait (multi-stream devices)

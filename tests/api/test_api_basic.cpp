@@ -203,6 +203,10 @@ TEST(CApi, ThreadCountControl) {
   ASSERT_GE(inst, 0);
   EXPECT_EQ(bglSetThreadCount(inst, 2), BGL_SUCCESS);
   EXPECT_EQ(bglSetThreadCount(inst, 0), BGL_ERROR_OUT_OF_RANGE);
+  // Above the documented 1024 ceiling the shim rejects the count before the
+  // pool could try to create that many threads; the instance stays usable.
+  EXPECT_EQ(bglSetThreadCount(inst, 1 << 20), BGL_ERROR_OUT_OF_RANGE);
+  EXPECT_EQ(bglSetThreadCount(inst, 2), BGL_SUCCESS);
   bglFinalizeInstance(inst);
 
   const int serial = makeSmallInstance(0, BGL_FLAG_THREADING_NONE |

@@ -1,14 +1,24 @@
 // Behavioural tests for the CPU implementation family: dependency handling
 // in the futures scheduler, the pattern-count threading threshold, thread
 // count control, direct transition-matrix usage (no eigendecomposition),
-// multi-subset root evaluation, and scale-factor arithmetic.
+// multi-subset root evaluation, scale-factor arithmetic, and pattern-slab
+// threading parity on partitioned batches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "api/bglxx.h"
+#include "core/gamma.h"
+#include "core/model.h"
+#include "core/rng.h"
 #include "harness/genomictest.h"
+#include "perfmodel/device_profiles.h"
 #include "phylo/likelihood.h"
+#include "phylo/seqsim.h"
 #include "tests/test_util.h"
 
 namespace bgl {
@@ -44,7 +54,7 @@ TEST(FuturesScheduler, ChainedOperationsRespectOrder) {
 
   spec.requirementFlags = BGL_FLAG_THREADING_NONE | BGL_FLAG_VECTOR_NONE;
   const auto serial = harness::runThroughput(spec);
-  EXPECT_NEAR(futures.logL, serial.logL, std::abs(serial.logL) * 1e-12);
+  EXPECT_EQ(futures.logL, serial.logL);  // bitwise
 }
 
 TEST(ThreadingThreshold, SmallProblemsUseSerialPathButStayCorrect) {
@@ -59,8 +69,8 @@ TEST(ThreadingThreshold, SmallProblemsUseSerialPathButStayCorrect) {
   phylo::TreeLikelihood a(problem.tree, *problem.model, problem.data, serial);
   phylo::TreeLikelihood b(problem.tree, *problem.model, problem.data, pool);
   phylo::TreeLikelihood c(problem.tree, *problem.model, problem.data, create);
-  EXPECT_DOUBLE_EQ(a.logLikelihood(), b.logLikelihood());
-  EXPECT_DOUBLE_EQ(a.logLikelihood(), c.logLikelihood());
+  EXPECT_EQ(a.logLikelihood(), b.logLikelihood());
+  EXPECT_EQ(a.logLikelihood(), c.logLikelihood());
 }
 
 TEST(ThreadingThreshold, LargeProblemsSplitAcrossThreadsCorrectly) {
@@ -70,14 +80,18 @@ TEST(ThreadingThreshold, LargeProblemsSplitAcrossThreadsCorrectly) {
   auto data = phylo::simulatePatterns(tree, model, 4000, rng);
   ASSERT_GT(data.patterns, 512);
 
-  phylo::LikelihoodOptions serial, pool;
+  phylo::LikelihoodOptions serial;
   serial.requirementFlags = BGL_FLAG_THREADING_NONE | BGL_FLAG_VECTOR_NONE;
-  pool.requirementFlags = BGL_FLAG_THREADING_THREAD_POOL | BGL_FLAG_VECTOR_NONE;
   phylo::TreeLikelihood a(tree, model, data, serial);
-  phylo::TreeLikelihood b(tree, model, data, pool);
-  for (int threads : {1, 2, 3, 7}) {
-    ASSERT_EQ(bglSetThreadCount(b.instance(), threads), BGL_SUCCESS);
-    EXPECT_DOUBLE_EQ(a.logLikelihood(), b.logLikelihood()) << threads << " threads";
+  for (long threading : {BGL_FLAG_THREADING_THREAD_POOL, BGL_FLAG_THREADING_THREAD_CREATE}) {
+    phylo::LikelihoodOptions threaded;
+    threaded.requirementFlags = threading | BGL_FLAG_VECTOR_NONE;
+    phylo::TreeLikelihood b(tree, model, data, threaded);
+    for (int threads : {1, 2, 3, 7}) {
+      ASSERT_EQ(bglSetThreadCount(b.instance(), threads), BGL_SUCCESS);
+      EXPECT_EQ(a.logLikelihood(), b.logLikelihood())
+          << b.implName() << " " << threads << " threads";
+    }
   }
 }
 
@@ -212,6 +226,177 @@ TEST(Harness, CaterpillarAndBalancedTopologiesBothRun) {
     EXPECT_TRUE(std::isfinite(result.logL));
   }
 }
+
+// Pattern-slab threading parity: the threaded CPU families must reproduce
+// CPU-serial bit for bit on partitioned batches whose partition bounds do
+// not fall on slab bounds, including batches where one partition's
+// operations write the same scale buffer twice and where a later operation
+// overwrites a buffer an earlier one read.
+namespace slab {
+
+constexpr int kTips = 6;
+constexpr int kInternal = 6;          // partials buffers kTips .. kTips + 5
+constexpr int kScaleBuffers = 7;      // six per-operation + the cumulative one
+constexpr int kCumulative = kScaleBuffers - 1;
+constexpr int kMatrices = 10;
+constexpr int kPatterns = 700;
+constexpr int kCategories = 4;
+constexpr int kPartitions = 3;
+
+/// One operation of the per-partition template: destination, scale write,
+/// children and their matrices.
+struct Step {
+  int dest, scale, child1, matrix1, child2, matrix2;
+};
+
+// (a) two operations of each partition write scale buffer 0; root 10.
+const std::vector<Step> kRepeatedScale = {
+    {6, 0, 0, 0, 1, 1}, {7, 0, 2, 2, 3, 3}, {8, 1, 6, 4, 7, 5},
+    {9, 2, 8, 6, 4, 7}, {10, 3, 9, 8, 5, 9}};
+// (b) a caterpillar through two rotating buffers: each operation
+// overwrites the buffer the one before it read; root 6.
+const std::vector<Step> kBufferReuse = {
+    {6, 0, 0, 0, 1, 1}, {7, 1, 6, 2, 2, 3}, {6, 2, 7, 4, 3, 5},
+    {7, 3, 6, 6, 4, 7}, {6, 4, 7, 8, 5, 9}};
+
+struct Shape {
+  const char* name;
+  const std::vector<Step>* steps;
+  int root;
+};
+const Shape kShapes[] = {{"repeated_scale", &kRepeatedScale, 10},
+                         {"buffer_reuse", &kBufferReuse, 6}};
+
+struct Family {
+  const char* name;
+  long flags;
+};
+const Family kThreaded[] = {{"futures", BGL_FLAG_THREADING_FUTURES},
+                            {"create", BGL_FLAG_THREADING_THREAD_CREATE},
+                            {"pool", BGL_FLAG_THREADING_THREAD_POOL}};
+const long kModes[] = {BGL_FLAG_COMPUTATION_SYNCH, BGL_FLAG_COMPUTATION_ASYNCH};
+const char* kModeNames[] = {"sync", "async"};
+const int kThreadCounts[] = {1, 2, 3, 7};
+
+/// A 3-partition instance (250 + 270 + 180 patterns) with random tip states;
+/// returns a negative code when the family is unavailable.
+int createInstance(long flags, long mode, int threads) {
+  const int resource = perf::kHostCpu;
+  const int instance = bglCreateInstance(
+      kTips, kInternal, kTips, 4, kPatterns, 1, kMatrices, kCategories,
+      kScaleBuffers, &resource, 1, 0,
+      flags | BGL_FLAG_VECTOR_NONE | BGL_FLAG_PRECISION_DOUBLE | mode, nullptr);
+  if (instance < 0) return instance;
+  Rng rng(2024);
+  const auto states = phylo::randomStates(kTips, kPatterns, 4, rng);
+  for (int t = 0; t < kTips; ++t) {
+    EXPECT_EQ(bglSetTipStates(instance, t, states.data() + t * kPatterns), BGL_SUCCESS);
+  }
+  const auto model = defaultModelForStates(4, 7);
+  const auto es = model->eigenSystem();
+  EXPECT_EQ(bglSetEigenDecomposition(instance, 0, es.evec.data(), es.ivec.data(),
+                                     es.eval.data()),
+            BGL_SUCCESS);
+  EXPECT_EQ(bglSetStateFrequencies(instance, 0, model->frequencies().data()),
+            BGL_SUCCESS);
+  const std::vector<double> catWeights(kCategories, 1.0 / kCategories);
+  EXPECT_EQ(bglSetCategoryWeights(instance, 0, catWeights.data()), BGL_SUCCESS);
+  EXPECT_EQ(bglSetCategoryRates(instance, discreteGammaRates(0.5, kCategories).data()),
+            BGL_SUCCESS);
+  std::vector<double> weights(kPatterns);
+  for (auto& w : weights) w = 1.0 + rng.belowInt(3);
+  EXPECT_EQ(bglSetPatternWeights(instance, weights.data()), BGL_SUCCESS);
+  std::vector<int> map(kPatterns, 0);
+  for (int k = 250; k < kPatterns; ++k) map[k] = k < 520 ? 1 : 2;
+  EXPECT_EQ(bglSetPatternPartitions(instance, kPartitions, map.data()), BGL_SUCCESS);
+  bglSetThreadCount(instance, threads);  // UNIMPLEMENTED on CPU-serial
+  return instance;
+}
+
+struct Round {
+  std::vector<double> byPartition;
+  double total = 0.0;
+  std::vector<double> sites;
+};
+
+/// Matrices at the given length scale, the shape's batch for every
+/// partition (operation-major, so partitions interleave), and the roots.
+Round evaluate(int instance, const Shape& shape, double lengthScale) {
+  std::vector<int> matrices(kMatrices);
+  std::vector<double> lengths(kMatrices);
+  for (int m = 0; m < kMatrices; ++m) {
+    matrices[m] = m;
+    lengths[m] = lengthScale * (0.05 + 0.04 * m);
+  }
+  EXPECT_EQ(bglUpdateTransitionMatrices(instance, 0, matrices.data(), nullptr, nullptr,
+                                        lengths.data(), kMatrices),
+            BGL_SUCCESS);
+  EXPECT_EQ(bglResetScaleFactors(instance, kCumulative), BGL_SUCCESS);
+  std::vector<BglOperationByPartition> ops;
+  for (const Step& st : *shape.steps) {
+    for (int q = 0; q < kPartitions; ++q) {
+      ops.push_back({st.dest, st.scale, BGL_OP_NONE, st.child1, st.matrix1, st.child2,
+                     st.matrix2, q});
+    }
+  }
+  EXPECT_EQ(bglUpdatePartialsByPartition(instance, ops.data(),
+                                         static_cast<int>(ops.size()), kCumulative),
+            BGL_SUCCESS);
+  const std::vector<int> roots(kPartitions, shape.root), zeros(kPartitions, 0),
+      cums(kPartitions, kCumulative), partitions = {0, 1, 2};
+  Round r;
+  r.byPartition.assign(kPartitions, 0.0);
+  EXPECT_EQ(bglCalculateRootLogLikelihoodsByPartition(
+                instance, roots.data(), zeros.data(), zeros.data(), cums.data(),
+                partitions.data(), kPartitions, r.byPartition.data(), &r.total),
+            BGL_SUCCESS);
+  r.sites.assign(kPatterns, 0.0);
+  EXPECT_EQ(bglGetSiteLogLikelihoods(instance, r.sites.data()), BGL_SUCCESS);
+  return r;
+}
+
+using Param = std::tuple<int, int, int, int>;  // family, threads, mode, shape
+
+class SlabThreading : public ::testing::TestWithParam<Param> {};
+
+TEST_P(SlabThreading, MatchesSerialBitwise) {
+  const auto [familyIndex, threadIndex, modeIndex, shapeIndex] = GetParam();
+  const Family& family = kThreaded[familyIndex];
+  const long mode = kModes[modeIndex];
+  const Shape& shape = kShapes[shapeIndex];
+  const int threads = kThreadCounts[threadIndex];
+  const int threaded = createInstance(family.flags, mode, threads);
+  if (threaded < 0) GTEST_SKIP() << family.name << " unavailable (code " << threaded << ")";
+  const int serial = createInstance(BGL_FLAG_THREADING_NONE, mode, threads);
+  ASSERT_GE(serial, 0);
+  for (const double lengthScale : {1.0, 1.7}) {
+    const Round want = evaluate(serial, shape, lengthScale);
+    const Round got = evaluate(threaded, shape, lengthScale);
+    ASSERT_TRUE(std::isfinite(want.total));
+    EXPECT_EQ(got.byPartition, want.byPartition) << "scale " << lengthScale;
+    EXPECT_EQ(got.total, want.total) << "scale " << lengthScale;
+    EXPECT_EQ(got.sites, want.sites) << "scale " << lengthScale;
+  }
+  bglFinalizeInstance(threaded);
+  bglFinalizeInstance(serial);
+}
+
+std::string slabName(const ::testing::TestParamInfo<Param>& info) {
+  const auto [familyIndex, threadIndex, modeIndex, shapeIndex] = info.param;
+  return std::string(kThreaded[familyIndex].name) + "_t" +
+         std::to_string(kThreadCounts[threadIndex]) + "_" + kModeNames[modeIndex] +
+         "_" + kShapes[shapeIndex].name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadedCpu, SlabThreading,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(std::size(kThreaded))),
+                       ::testing::Range(0, static_cast<int>(std::size(kThreadCounts))),
+                       ::testing::Range(0, static_cast<int>(std::size(kModes))),
+                       ::testing::Range(0, static_cast<int>(std::size(kShapes)))),
+    slabName);
+
+}  // namespace slab
 
 }  // namespace
 }  // namespace bgl
