@@ -44,18 +44,17 @@ class AccelImpl : public Implementation {
              (cfg.flags & BGL_FLAG_COMPUTATION_SYNCH) == 0;
     // Cross-call pipelining (docs/PERFORMANCE.md): transition matrices issue
     // on a second device stream so round N+1's matrices overlap round N's
-    // partials. Implies async; a device that ignores setStreamCount (one
-    // stream) degrades to plain async — same-stream signal/wait pairs retire
-    // in enqueue order, so the fences become no-ops, not deadlocks.
+    // partials. Implies async. The hazard tracking below runs in every mode;
+    // a device with fewer than two streams records no events, so in plain
+    // async (or on a device that ignores setStreamCount) no fence is ever
+    // enqueued and matrix launches share the one in-order stream.
     pipeline_ = async_ && (cfg.flags & BGL_FLAG_COMPUTATION_PIPELINE) != 0;
     if (async_) {
       if (pipeline_) device_->setStreamCount(2);
       device_->setAsync(true);
     }
-    if (pipeline_) {
-      matrixDirty_.assign(static_cast<std::size_t>(cfg.matrixBufferCount), 0);
-      matrixReadByC_.assign(static_cast<std::size_t>(cfg.matrixBufferCount), 0);
-    }
+    matrixDirty_.assign(static_cast<std::size_t>(cfg.matrixBufferCount), 0);
+    matrixReadByC_.assign(static_cast<std::size_t>(cfg.matrixBufferCount), 0);
     variant_ = (cfg.flags & BGL_FLAG_KERNEL_X86_STYLE)
                    ? hal::KernelVariant::X86Style
                    : (cfg.flags & BGL_FLAG_KERNEL_GPU_STYLE)
@@ -121,17 +120,7 @@ class AccelImpl : public Implementation {
     siteD2_ = device_->alloc(static_cast<std::size_t>(c.patternCount) * sizeof(Real));
     reduceScratch_ =
         device_->alloc(static_cast<std::size_t>(reduceBlocks()) * sizeof(double));
-    // Double-buffered result staging: consecutive root/edge evaluations
-    // alternate buffers so a readback of round N never has to wait for
-    // round N+1's reductions (pipelined mode; otherwise both parities
-    // alias one buffer).
-    resultBuf_[0] =
-        device_->alloc(static_cast<std::size_t>(resultSlots_) * sizeof(double));
-    resultBuf_[1] =
-        pipeline_ ? device_->alloc(static_cast<std::size_t>(resultSlots_) *
-                                   sizeof(double))
-                  : resultBuf_[0];
-    result_ = resultBuf_[0];
+    allocResultBuffers();
   }
 
   ~AccelImpl() override {
@@ -407,19 +396,16 @@ class AccelImpl : public Implementation {
                          "updatePartialsByPartition");
     recorder_.count(obs::Counter::kPartialsOperations,
                     static_cast<std::uint64_t>(count));
-    if (pipeline_) {
-      // RAW fence: if any matrix this batch reads is still in flight on the
-      // matrix stream, the compute stream waits for the matrices-ready
-      // event before the batch's first launch. Out-of-range indices are
-      // skipped here; validation below still rejects the batch.
-      matrixReadScratch_.clear();
-      for (int i = 0; i < count; ++i) {
-        matrixReadScratch_.push_back(operations[i].child1TransitionMatrix);
-        matrixReadScratch_.push_back(operations[i].child2TransitionMatrix);
-      }
-      fenceAndMarkMatrixReads(matrixReadScratch_.data(),
-                              matrixReadScratch_.size());
+    // RAW fence: if any matrix this batch reads is still in flight on the
+    // matrix stream, the compute stream waits for the matrices-ready event
+    // before the batch's first launch. Out-of-range indices are skipped
+    // here; validation below still rejects the batch.
+    matrixReadScratch_.clear();
+    for (int i = 0; i < count; ++i) {
+      matrixReadScratch_.push_back(operations[i].child1TransitionMatrix);
+      matrixReadScratch_.push_back(operations[i].child2TransitionMatrix);
     }
+    fenceAndMarkMatrixReads(matrixReadScratch_.data(), matrixReadScratch_.size());
     // Whole-batch validation in per-op order (error codes match the serial
     // path), allocating destinations as the serial path would.
     const auto& c = config_;
@@ -591,18 +577,15 @@ class AccelImpl : public Implementation {
                         outSumSecondDerivative != nullptr;
     const int slotsPer = derivs ? 3 : 1;
     flipResultBuffer();
-    if (pipeline_) {
-      // Edge integration reads transition matrices on the compute stream.
-      matrixReadScratch_.assign(probIndices, probIndices + count);
-      if (derivs) {
-        matrixReadScratch_.insert(matrixReadScratch_.end(), d1Indices,
-                                  d1Indices + count);
-        matrixReadScratch_.insert(matrixReadScratch_.end(), d2Indices,
-                                  d2Indices + count);
-      }
-      fenceAndMarkMatrixReads(matrixReadScratch_.data(),
-                              matrixReadScratch_.size());
+    // Edge integration reads transition matrices on the compute stream.
+    matrixReadScratch_.assign(probIndices, probIndices + count);
+    if (derivs) {
+      matrixReadScratch_.insert(matrixReadScratch_.end(), d1Indices,
+                                d1Indices + count);
+      matrixReadScratch_.insert(matrixReadScratch_.end(), d2Indices,
+                                d2Indices + count);
     }
+    fenceAndMarkMatrixReads(matrixReadScratch_.data(), matrixReadScratch_.size());
     ensureResultSlots(count * slotsPer);
     for (int n = 0; n < count; ++n) {
       const int pb = parentIndices[n];
@@ -869,7 +852,7 @@ class AccelImpl : public Implementation {
   }
 
   /// One batched matrix launch for a (eigen, rates) model pair, including
-  /// the pipelined-mode stream fencing. The stage is a host-side
+  /// the cross-stream hazard fencing. The stage is a host-side
   /// keep-alive owned by the stream — no device staging copies, so on an
   /// async device the launch pipelines instead of flushing.
   void enqueueMatrixBatch(int eigenIndex, int ratesIndex,
@@ -905,33 +888,27 @@ class AccelImpl : public Implementation {
     work.useFma = useFma_;
     work.numGroups = dims.numGroups;
 
+    // WAR fence: if the compute stream has un-drained reads of any target
+    // matrix, the matrix stream must wait for them before overwriting. In
+    // the steady pipelined cadence (disjoint matrix halves, a compute drain
+    // per round at the result readback) this never fires.
+    bool hazard = false;
+    for (std::size_t i = 0; i < stage->indices.size(); ++i) {
+      hazard = hazard || matrixReadByC_[stage->indices[i]] != 0;
+    }
+    if (hazard) {
+      device_->waitEvent(kMatrixStream, device_->recordEvent(kComputeStream));
+      std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
+    }
     hal::LaunchOptions opts;
     opts.keepAlive = stage;
-    if (pipeline_) {
-      // WAR fence: if the compute stream has un-drained reads of any target
-      // matrix, the matrix stream must wait for them before overwriting.
-      // In the steady pipelined cadence (disjoint matrix halves, a compute
-      // drain per round at the result readback) this never fires.
-      bool hazard = false;
-      for (std::size_t i = 0; i < stage->indices.size(); ++i) {
-        hazard = hazard || matrixReadByC_[stage->indices[i]] != 0;
-      }
-      if (hazard) {
-        device_->waitEvent(kMatrixStream, device_->recordEvent(kComputeStream));
-        std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
-      }
-      opts.stream = kMatrixStream;
-      device_->launch(*kernel, dims, args, work, opts);
-      // RAW edge for consumers: the next partials/edge batch that reads any
-      // of these matrices waits on this event (recorded after the launch,
-      // so it covers every matrix write enqueued so far).
-      for (std::size_t i = 0; i < stage->indices.size(); ++i) {
-        matrixDirty_[stage->indices[i]] = 1;
-      }
-      matricesReady_ = device_->recordEvent(kMatrixStream);
-      return;
-    }
+    opts.stream = kMatrixStream;
     device_->launch(*kernel, dims, args, work, opts);
+    // RAW edge for consumers: the next partials/edge batch that reads any of
+    // these matrices waits on this event (recorded after the launch, so it
+    // covers every matrix write enqueued so far).
+    for (const std::int32_t m : stage->indices) matrixDirty_[m] = 1;
+    matricesReady_ = device_->recordEvent(kMatrixStream);
   }
 
   // ------------------------------------------------------------------
@@ -1195,12 +1172,17 @@ class AccelImpl : public Implementation {
     device_->finish();
     noteDeviceDrained();
     resultSlots_ = std::max(slots, resultSlots_ * 2);
-    resultBuf_[0] =
-        device_->alloc(static_cast<std::size_t>(resultSlots_) * sizeof(double));
-    resultBuf_[1] =
-        pipeline_ ? device_->alloc(static_cast<std::size_t>(resultSlots_) *
-                                   sizeof(double))
-                  : resultBuf_[0];
+    allocResultBuffers();
+  }
+
+  /// Double-buffered result staging: consecutive root/edge evaluations
+  /// alternate buffers so a readback of round N never has to wait for
+  /// round N+1's reductions (pipelined mode; otherwise both parities alias
+  /// one buffer).
+  void allocResultBuffers() {
+    const std::size_t bytes = static_cast<std::size_t>(resultSlots_) * sizeof(double);
+    resultBuf_[0] = device_->alloc(bytes);
+    resultBuf_[1] = pipeline_ ? device_->alloc(bytes) : resultBuf_[0];
     result_ = resultBuf_[resultParity_];
   }
 
@@ -1222,9 +1204,11 @@ class AccelImpl : public Implementation {
   }
 
   // ------------------------------------------------------------------
-  // Cross-stream hazard tracking (pipelined mode). The compute stream is
-  // stream 0, transition matrices issue on stream 1; StreamEvents carry the
-  // happens-before edges between them. See docs/PERFORMANCE.md.
+  // Cross-stream hazard tracking. The compute stream is stream 0,
+  // transition matrices issue on stream 1; StreamEvents carry the
+  // happens-before edges between them. The tracking runs in every mode: a
+  // device with fewer than two streams returns null events, and waiting on
+  // a null event enqueues nothing. See docs/PERFORMANCE.md.
   // ------------------------------------------------------------------
 
   /// Wait on the matrices-ready event if any matrix this compute batch
@@ -1232,7 +1216,6 @@ class AccelImpl : public Implementation {
   /// (for the producer-side WAR check). The latest event covers all earlier
   /// matrix-stream writes, so one wait clears every dirty bit.
   void fenceAndMarkMatrixReads(const int* indices, std::size_t n) {
-    if (!pipeline_) return;
     bool hazard = false;
     for (std::size_t i = 0; i < n; ++i) {
       const int m = indices[i];
@@ -1254,13 +1237,11 @@ class AccelImpl : public Implementation {
   /// this clearing, reads accumulate forever and the WAR fence would fire
   /// every round, serializing the two streams.
   void noteComputeDrained() {
-    if (!pipeline_) return;
     std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
   }
 
   /// Every stream drained (finish()): all pending reads and writes retired.
   void noteDeviceDrained() {
-    if (!pipeline_) return;
     std::fill(matrixDirty_.begin(), matrixDirty_.end(), char(0));
     std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
   }
@@ -1311,7 +1292,8 @@ class AccelImpl : public Implementation {
   int compactUsed_ = 0;
   int resultSlots_ = 4;
 
-  // Pipelined-mode stream assignment and hazard state.
+  // Stream assignment and hazard state. On a one-stream device both
+  // indices clamp to stream 0.
   static constexpr int kComputeStream = 0;  // partials/scaling/root/edge
   static constexpr int kMatrixStream = 1;   // transition matrices
   std::vector<char> matrixDirty_;    // written on stream 1, not yet fenced

@@ -1,6 +1,9 @@
 // OpenCL-framework runtime (simulated).
 //
-// Models the parts of OpenCL that shaped the paper's design:
+// A framework leaf over hal::SimDevice (hal/sim_device.h), which owns
+// buffers, the kernel cache, copies, launches, command streams, events and
+// timeline accounting for both frameworks. This leaf keeps the parts of
+// OpenCL that shaped the paper's design:
 //  * an Installable-Client-Driver-style loader exposing multiple platforms
 //    (drivers), possibly several for the same physical device, with
 //    driver-dependent performance (Section VII-B3);
@@ -36,8 +39,8 @@ struct Platform {
 const std::vector<Platform>& platforms();
 
 /// Create an OpenCL-framework hal::Device for a device of a platform.
-/// `maxWorkGroupSize` caps dims.groupSize at launch (like
-/// CL_DEVICE_MAX_WORK_GROUP_SIZE); local memory is capped by the profile.
+/// Launches whose local-memory request exceeds the profile's local memory
+/// fail with CL_OUT_OF_RESOURCES.
 hal::DevicePtr createDevice(const Platform& platform, int profileIndex);
 
 /// Convenience: create a device through the best (vendor) platform.

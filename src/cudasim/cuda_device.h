@@ -1,14 +1,16 @@
 // CUDA-framework runtime (simulated).
 //
-// Structurally follows the CUDA Driver API model the paper's original GPU
-// implementation used: an explicit context per device, flat device memory
-// addressed by pointer arithmetic (sub-regions are plain offsets into the
-// parent allocation), module/function handles fetched by name+parameters,
-// and stream-ordered kernel launches. Kernels come from the shared kernel
-// set (src/kernels) — identical code to what the OpenCL runtime executes.
+// Follows the CUDA Driver API model the paper's original GPU implementation
+// used: flat device memory addressed by pointer arithmetic (sub-regions are
+// plain offsets into the parent allocation, at any offset), kernel handles
+// fetched by analysis parameters, and stream-ordered launches.
 //
-// Execution is functional-on-host: results are real; wall time on non-host
-// device profiles is supplied by the roofline model (see DESIGN.md).
+// A framework leaf over hal::SimDevice (hal/sim_device.h), which owns
+// buffers, the kernel cache, copies, launches, command streams, events and
+// timeline accounting for both frameworks. This leaf adds only the CUDA
+// identity (framework name, fault tag, roofline overhead term), the
+// pointer-arithmetic subBuffer and device enumeration. Device fission is an
+// OpenCL feature; CUDA devices ignore setFission.
 #pragma once
 
 #include <memory>

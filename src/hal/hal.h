@@ -3,7 +3,8 @@
 // This layer corresponds to the "hardware interface" box in Fig. 3 of the
 // paper: the framework-independent accelerator implementation talks only to
 // this interface, and one concrete Device exists per (framework, device)
-// pair — cudasim provides the CUDA-style one, clsim the OpenCL-style one.
+// pair — cudasim provides the CUDA-style one, clsim the OpenCL-style one,
+// both thin leaves over the shared simulated-device core (sim_device.h).
 // The interface covers kernel loading/compilation keyed by analysis
 // parameters (state count, precision, hardware variant), kernel execution,
 // data movement, and device characteristics.
@@ -277,14 +278,17 @@ class Device {
 
   /// Enqueue a signal record on `stream` and return the event. Every record
   /// enqueued on `stream` before this call happens-before the signal.
-  /// Returns null on synchronous devices (no cross-stream ordering needed).
+  /// Returns null, and enqueues nothing, whenever fewer than two streams
+  /// are live: a synchronous device or a single in-order stream already
+  /// orders every record, so there is no cross-stream edge to fence.
   virtual StreamEventPtr recordEvent(int /*stream*/) { return nullptr; }
 
   /// Enqueue a wait record on `stream`: records enqueued on `stream` after
-  /// this call execute only once `event` has signaled. Null events and
-  /// synchronous devices are no-ops. Callers must only wait on events whose
-  /// signal record is already enqueued, which keeps the cross-stream
-  /// wait-for graph acyclic (edges point backward in global enqueue order).
+  /// this call execute only once `event` has signaled. Null events (see
+  /// recordEvent) and synchronous devices are no-ops, so callers may fence
+  /// unconditionally. Callers must only wait on events whose signal record
+  /// is already enqueued, which keeps the cross-stream wait-for graph
+  /// acyclic (edges point backward in global enqueue order).
   virtual void waitEvent(int /*stream*/, const StreamEventPtr& /*event*/) {}
 
   /// Restrict execution to `n` host workers (OpenCL device fission;

@@ -15,6 +15,7 @@
 #include "clsim/cl_runtime.h"
 #include "cudasim/cuda_device.h"
 #include "hal/command_stream.h"
+#include "obs/trace.h"
 #include "perfmodel/device_profiles.h"
 
 namespace bgl {
@@ -371,6 +372,31 @@ TEST(AsyncDevice, SynchronousRemainsTheDefault) {
   EXPECT_FALSE(dev->asyncEnabled());
 }
 
+// The in-flight gauge is the number of records a stream worker holds right
+// now, so an idle device reads 0 even when its last record was a fill (an
+// accelerator instance with scale buffers ends its constructor on one).
+TEST(AsyncDevice, InFlightGaugeClearsAfterTrailingFill) {
+  for (const auto& dev : {cudasim::createDevice(perf::kHostCpu),
+                          clsim::createDeviceByProfile(perf::kHostCpu)}) {
+    obs::TraceRecorder recorder;
+    dev->setRecorder(&recorder);
+    dev->setAsync(true);
+    hal::KernelSpec spec;
+    spec.id = hal::KernelId::ResetScale;
+    spec.states = 4;
+    auto buf = dev->alloc(256 * sizeof(double));
+    hal::KernelArgs args;
+    args.buffers[0] = buf->data();
+    args.ints[0] = 256;
+    dev->launch(*dev->getKernel(spec), {1, 1, 0}, args, {});
+    dev->fillZero(buf, 0, 256 * sizeof(double));
+    dev->finish();
+    EXPECT_EQ(recorder.gauge(obs::Gauge::kInFlight), 0u) << dev->frameworkName();
+    EXPECT_GE(recorder.gaugeMax(obs::Gauge::kInFlight), 1u) << dev->frameworkName();
+    dev->setRecorder(nullptr);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Multi-stream device model: several in-order streams per device, event
 // fences between them, stream-scoped readbacks, per-stream modeled clocks.
@@ -450,14 +476,26 @@ TEST(MultiStreamDevice, SynchronousDeviceHasNoStreamsOrEvents) {
   dev->waitEvent(0, nullptr);
 }
 
+// One in-order stream already orders every record, so an async device
+// with a single stream records no events (and so enqueues no Signal).
+TEST(MultiStreamDevice, SingleStreamDeviceReturnsNoEvents) {
+  for (const auto& dev : {cudasim::createDevice(perf::kHostCpu),
+                          clsim::createDeviceByProfile(perf::kHostCpu)}) {
+    dev->setAsync(true);
+    ASSERT_EQ(dev->streamCount(), 1) << dev->frameworkName();
+    EXPECT_EQ(dev->recordEvent(0), nullptr) << dev->frameworkName();
+    EXPECT_EQ(dev->recordEvent(1), nullptr) << dev->frameworkName();
+    dev->waitEvent(0, nullptr);  // a null event is a no-op
+    dev->finish();
+  }
+}
+
 TEST(MultiStreamDevice, ModeledClocksTakeCriticalPathNotSum) {
   // On a simulated profile the timeline is the roofline model. Two streams
   // each running one identical kernel must advance the device's modeled
   // time by ~one kernel, not two: the clocks run concurrently and
-  // modeledSeconds is their max (the critical path).
-  auto serial = cudasim::createDevice(perf::kQuadroP5000);
-  auto parallel = cudasim::createDevice(perf::kQuadroP5000);
-
+  // modeledSeconds is their max (the critical path). Both frameworks: the
+  // Quadro through CUDA and through its vendor OpenCL platform.
   const auto runTwoKernels = [](hal::Device& dev, int secondStream) {
     dev.setStreamCount(2);
     dev.setAsync(true);
@@ -482,12 +520,18 @@ TEST(MultiStreamDevice, ModeledClocksTakeCriticalPathNotSum) {
     return dev.timeline().modeledSeconds;
   };
 
-  const double sumSeconds = runTwoKernels(*serial, 0);       // same stream
-  const double maxSeconds = runTwoKernels(*parallel, 1);     // split streams
-  EXPECT_GT(sumSeconds, 0.0);
-  // The split run models the two kernels as overlapped: it must cost about
-  // half the serial run (allow slack for launch-overhead terms).
-  EXPECT_LT(maxSeconds, 0.75 * sumSeconds);
+  for (const auto& make :
+       {+[] { return cudasim::createDevice(perf::kQuadroP5000); },
+        +[] { return clsim::createDeviceByProfile(perf::kQuadroP5000); }}) {
+    auto serial = make();
+    auto parallel = make();
+    const double sumSeconds = runTwoKernels(*serial, 0);    // same stream
+    const double maxSeconds = runTwoKernels(*parallel, 1);  // split streams
+    EXPECT_GT(sumSeconds, 0.0) << serial->frameworkName();
+    // The split run models the two kernels as overlapped: it must cost
+    // about half the serial run (allow slack for launch-overhead terms).
+    EXPECT_LT(maxSeconds, 0.75 * sumSeconds) << serial->frameworkName();
+  }
 }
 
 }  // namespace

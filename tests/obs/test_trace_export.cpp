@@ -380,6 +380,88 @@ TEST(ObsTraceExport, UnsetCancelsExport) {
   EXPECT_TRUE(slurp(path).empty()) << "cancelled trace must not be written";
 }
 
+/// Stream placement of one accelerator instance's retained spans over the
+/// multi-round rebranch sequence of SyncAsyncParity: re-set every branch
+/// length and re-evaluate, four rounds, scaling on.
+struct StreamSpans {
+  int streamSync = 0;
+  int kernels = 0;
+  std::map<int, int> kernelsByStream;
+};
+
+StreamSpans traceRebranchRounds(long flags, int resource, const std::string& path) {
+  std::remove(path.c_str());
+  {
+    Rng rng(5151);
+    auto tree = phylo::Tree::random(12, rng, 0.1);
+    HKY85Model model(2.0, {0.3, 0.25, 0.2, 0.25});
+    auto data = phylo::simulatePatterns(tree, model, 400, rng);
+    phylo::LikelihoodOptions opts;
+    opts.categories = 4;
+    opts.requirementFlags = flags;
+    opts.resources = {resource};
+    opts.useScaling = true;
+    phylo::TreeLikelihood like(tree, model, data, opts);
+    EXPECT_EQ(bglSetTraceFile(like.instance(), path.c_str()), BGL_SUCCESS);
+    for (int r = 0; r < 4; ++r) {
+      phylo::Tree scaled = tree;
+      for (int i = 0; i < scaled.nodeCount(); ++i) {
+        scaled.node(i).length = tree.node(i).length * (1.0 + 0.15 * r);
+      }
+      like.logLikelihood(scaled);
+    }
+  }  // finalizing the instance writes the trace
+
+  StreamSpans out;
+  const std::string text = slurp(path);
+  std::remove(path.c_str());
+  JsonValue root;
+  EXPECT_TRUE(JsonReader(text).parse(&root)) << "invalid JSON in " << path;
+  const JsonValue* events = root.get("traceEvents");
+  if (events == nullptr) return out;
+  for (const auto& ev : events->items) {
+    const JsonValue* ph = ev.get("ph");
+    const JsonValue* args = ev.get("args");
+    if (ph == nullptr || ph->text != "B" || args == nullptr) continue;
+    const JsonValue* cat = args->get("category");
+    if (cat == nullptr) continue;
+    if (cat->text == "stream.sync") ++out.streamSync;
+    if (cat->text == "kernel") {
+      ++out.kernels;
+      const JsonValue* stream = args->get("stream");
+      ++out.kernelsByStream[stream != nullptr ? static_cast<int>(stream->number) : -1];
+    }
+  }
+  return out;
+}
+
+// Plain async mode runs the same cross-stream hazard tracking as pipelined
+// mode, but on its one in-order stream no fence is needed: it must enqueue
+// no Signal/Wait record, and matrix launches share stream 1 with every
+// other kernel. The pipelined run proves the trace can show fences at all.
+TEST(ObsTraceExport, PlainAsyncAcceleratorEnqueuesNoStreamSync) {
+  const struct {
+    const char* label;
+    long flags;
+    int resource;
+  } configs[] = {{"cuda", BGL_FLAG_FRAMEWORK_CUDA, perf::kQuadroP5000},
+                 {"opencl", BGL_FLAG_FRAMEWORK_OPENCL, perf::kRadeonR9Nano}};
+  for (const auto& c : configs) {
+    const StreamSpans plain =
+        traceRebranchRounds(c.flags | BGL_FLAG_COMPUTATION_ASYNCH, c.resource,
+                            tempPath("bgl_plain_async_trace.json"));
+    EXPECT_EQ(plain.streamSync, 0) << c.label;
+    EXPECT_GT(plain.kernels, 0) << c.label;
+    EXPECT_EQ(plain.kernelsByStream, (std::map<int, int>{{1, plain.kernels}}))
+        << c.label;
+
+    const StreamSpans pipelined = traceRebranchRounds(
+        c.flags | BGL_FLAG_COMPUTATION_ASYNCH | BGL_FLAG_COMPUTATION_PIPELINE,
+        c.resource, tempPath("bgl_pipelined_trace.json"));
+    EXPECT_GT(pipelined.streamSync, 0) << c.label;
+  }
+}
+
 // Direct exporter test without the C API: empty recorder still produces a
 // valid (if boring) document, and the JsonWriter escapes control characters.
 TEST(ObsTraceExport, EmptyRecorderStillValid) {
