@@ -166,11 +166,10 @@ void BM_TransitionMatrixKernel(benchmark::State& state) {
   const hal::KernelFn fn = kernels::lookupKernel(spec);
 
   // A batch of one edge: one launch, `categories` groups.
+  const void* model[3] = {cijk.data(), eval.data(), rates.data()};
   hal::KernelArgs args;
   args.buffers[0] = dest.data();
-  args.buffers[1] = cijk.data();
-  args.buffers[2] = eval.data();
-  args.buffers[3] = rates.data();
+  args.buffers[1] = model;
   args.buffers[6] = &length;
   args.buffers[7] = &matrixIndex;
   args.ints[0] = categories;

@@ -21,7 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/implementation.h"
@@ -118,8 +118,13 @@ class AccelImpl : public Implementation {
     siteLogL_ = device_->alloc(static_cast<std::size_t>(c.patternCount) * sizeof(Real));
     siteD1_ = device_->alloc(static_cast<std::size_t>(c.patternCount) * sizeof(Real));
     siteD2_ = device_->alloc(static_cast<std::size_t>(c.patternCount) * sizeof(Real));
-    reduceScratch_ =
-        device_->alloc(static_cast<std::size_t>(reduceBlocks()) * sizeof(double));
+    // Sized once for every reduction this instance can enqueue, so no
+    // evaluation grows it: a run of disjoint partition ranges spans at most
+    // reduceBlocks() + partitions blocks (each partition owns >= 1
+    // pattern), and an edge's three whole-axis sections at most
+    // 3 * reduceBlocks().
+    reduceScratch_ = device_->alloc(
+        static_cast<std::size_t>(reduceBlocks() + c.patternCount + 1) * sizeof(double));
     allocResultBuffers();
   }
 
@@ -281,25 +286,21 @@ class AccelImpl : public Implementation {
     // ONE launch computes all edges' matrices (with derivatives the index
     // array carries three count-long sections: P, P', P'').
     auto stage = std::make_shared<MatrixStage>();
-    stage->lengths.resize(count);
-    stage->indices.resize(static_cast<std::size_t>(derivs ? 3 * count : count));
     for (int e = 0; e < count; ++e) {
-      stage->lengths[e] = static_cast<Real>(edgeLengths[e]);
-      stage->indices[e] = probIndices[e];
-      if (derivs) {
-        stage->indices[static_cast<std::size_t>(count) + e] = d1Indices[e];
-        stage->indices[static_cast<std::size_t>(2 * count) + e] = d2Indices[e];
-      }
+      stageEdge(*stage, eigenIndex, 0, edgeLengths[e], probIndices[e]);
     }
-    enqueueMatrixBatch(eigenIndex, 0, std::move(stage), derivs);
+    if (derivs) {
+      stage->indices.insert(stage->indices.end(), d1Indices, d1Indices + count);
+      stage->indices.insert(stage->indices.end(), d2Indices, d2Indices + count);
+    }
+    enqueueMatrixBatch(std::move(stage), derivs);
     return BGL_SUCCESS;
   }
 
   /// Multi-model matrix update: edges carry per-edge eigen and rates slots
-  /// (one slot per partition's substitution model). Edges are grouped by
-  /// (eigen, rates) pair into one batched launch per distinct pair — each
-  /// matrix is computed independently, so regrouping is bitwise-neutral,
-  /// and the launch count is O(#models), not O(#edges).
+  /// (one slot per partition's substitution model). Every edge stages its
+  /// own model pointers, so all models share ONE launch; each matrix is
+  /// computed independently, so the bits match one launch per model.
   int updateTransitionMatricesWithModels(const int* eigenIndices,
                                          const int* ratesIndices,
                                          const int* probIndices,
@@ -319,26 +320,12 @@ class AccelImpl : public Implementation {
                          "updateTransitionMatricesWithModels");
     recorder_.count(obs::Counter::kTransitionMatrices,
                     static_cast<std::uint64_t>(count));
-    // One pass keyed by (eigen, rates). Groups launch in order of first
-    // appearance and keep their edges in call order, so the launch
-    // sequence matches a per-model rescan of the edge list.
-    struct Group {
-      int eigen, rates;
-      std::shared_ptr<MatrixStage> stage;
-    };
-    std::vector<Group> groups;
-    std::unordered_map<long long, std::size_t> groupOf;
+    auto stage = std::make_shared<MatrixStage>();
     for (int e = 0; e < count; ++e) {
-      const int ei = eigenIndices[e];
-      const int ri = ratesIndices != nullptr ? ratesIndices[e] : 0;
-      const auto [it, fresh] = groupOf.try_emplace(
-          static_cast<long long>(ei) * config_.eigenBufferCount + ri, groups.size());
-      if (fresh) groups.push_back({ei, ri, std::make_shared<MatrixStage>()});
-      MatrixStage& stage = *groups[it->second].stage;
-      stage.lengths.push_back(static_cast<Real>(edgeLengths[e]));
-      stage.indices.push_back(probIndices[e]);
+      stageEdge(*stage, eigenIndices[e], ratesIndices != nullptr ? ratesIndices[e] : 0,
+                edgeLengths[e], probIndices[e]);
     }
-    for (Group& g : groups) enqueueMatrixBatch(g.eigen, g.rates, std::move(g.stage));
+    enqueueMatrixBatch(std::move(stage));
     return BGL_SUCCESS;
   }
 
@@ -478,12 +465,12 @@ class AccelImpl : public Implementation {
     return BGL_SUCCESS;
   }
 
-  /// Per-partition root integration: one ranged RootLikelihood launch plus
-  /// a ranged two-phase reduction per entry, then a SINGLE readback of all
-  /// partition sums. The phase-1 blocks are laid out from each partition's
-  /// range start, so every per-partition sum brackets exactly as a
-  /// standalone per-partition instance would — the bitwise contract the
-  /// cross-family tests pin down.
+  /// Per-partition root integration: ONE table-driven RootLikelihood
+  /// launch and ONE segmented two-phase reduction for every entry, then a
+  /// SINGLE readback of all partition sums. The phase-1 blocks are laid out
+  /// from each entry's range start, so every per-partition sum brackets
+  /// exactly as a standalone per-partition instance would — the bitwise
+  /// contract the cross-family tests pin down.
   int calculateRootLogLikelihoodsByPartition(
       const int* bufferIndices, const int* weightIndices, const int* freqIndices,
       const int* scaleIndices, const int* partitionIndices, int count,
@@ -495,8 +482,7 @@ class AccelImpl : public Implementation {
     flipResultBuffer();
     ensureResultSlots(count);
     for (int n = 0; n < count; ++n) {
-      const int q = partitionIndices[n];
-      if (!validSlot(q)) return BGL_ERROR_OUT_OF_RANGE;
+      if (!validSlot(partitionIndices[n])) return BGL_ERROR_OUT_OF_RANGE;
       const int b = bufferIndices[n];
       if (b < 0 || b >= config_.bufferCount() || partials_[b] == nullptr) {
         return BGL_ERROR_OUT_OF_RANGE;
@@ -504,9 +490,30 @@ class AccelImpl : public Implementation {
       if (!validEigenSlot(weightIndices[n]) || !validEigenSlot(freqIndices[n])) {
         return BGL_ERROR_OUT_OF_RANGE;
       }
+      if (scaleIndices != nullptr && scaleIndices[n] != BGL_OP_NONE &&
+          !validScale(scaleIndices[n])) {
+        return BGL_ERROR_OUT_OF_RANGE;
+      }
+    }
+    // Entries integrate into the shared siteLogL_, so they split into
+    // maximal runs of pairwise-disjoint ranges: a partition named twice, or
+    // the whole-axis slot, starts a new run. Each run is one root launch and
+    // one reduction, and the site buffer ends with a per-entry sequence's
+    // last-writer-wins contents.
+    const int whole = partitionCount_;
+    slotInRun_.resize(static_cast<std::size_t>(slotCount()), 0);
+    auto root = std::make_shared<PartitionStage>();
+    int first = 0;
+    for (int n = 0; n < count; ++n) {
+      const int q = partitionIndices[n];
+      if (n > first && (slotInRun_[q] != 0 || q == whole || slotInRun_[whole] != 0)) {
+        enqueueRootRun(std::exchange(root, std::make_shared<PartitionStage>()), first);
+        for (int i = first; i < n; ++i) slotInRun_[partitionIndices[i]] = 0;
+        first = n;
+      }
+      slotInRun_[q] = 1;
       void* cum = nullptr;
       if (scaleIndices != nullptr && scaleIndices[n] != BGL_OP_NONE) {
-        if (!validScale(scaleIndices[n])) return BGL_ERROR_OUT_OF_RANGE;
         cum = scale_[scaleIndices[n]]->data();
       } else if ((config_.flags & BGL_FLAG_SCALING_ALWAYS) &&
                  config_.scaleBufferCount > 0) {
@@ -514,38 +521,16 @@ class AccelImpl : public Implementation {
       }
       const int kBegin = partBegin_[q];
       const int kEnd = partEnd_[q];
-
-      hal::KernelSpec spec = baseSpec(hal::KernelId::RootLikelihood);
-      hal::KernelArgs args;
-      args.buffers[0] = partials_[b]->data();
-      args.buffers[1] = freqs_[freqIndices[n]]->data();
-      args.buffers[2] = weights_[weightIndices[n]]->data();
-      args.buffers[3] = siteLogL_->data();
-      args.buffers[4] = cum;
       const int ppg = integratePpg();
-      args.ints[0] = config_.patternCount;
-      args.ints[1] = config_.categoryCount;
-      args.ints[2] = config_.stateCount;
-      args.ints[3] = ppg;
-      args.ints[4] = kBegin;
-      args.ints[5] = kEnd;
-
-      hal::LaunchDims dims;
-      dims.numGroups = (kEnd - kBegin + ppg - 1) / ppg;
-      dims.groupSize = ppg;
-
-      perf::LaunchWork work;
-      work.flops = kernels::rootFlops(kEnd - kBegin, config_.categoryCount,
-                                      config_.stateCount);
-      work.bytes = kernels::rootBytes(kEnd - kBegin, config_.categoryCount,
-                                      config_.stateCount, sizeof(Real));
-      work.fmaFriendly = true;
-      work.doublePrecision = !spec.singlePrecision;
-      work.useFma = useFma_;
-      device_->launch(*device_->getKernel(spec), dims, args, work);
-
-      enqueueReduceRange(*siteLogL_, n, kBegin, kEnd);
+      root->table.insert(root->table.end(),
+                         {partials_[bufferIndices[n]]->data(),
+                          freqs_[freqIndices[n]]->data(),
+                          weights_[weightIndices[n]]->data(), siteLogL_->data(), cum});
+      root->ranges.insert(root->ranges.end(),
+                          {kBegin, kEnd, stagedGroups(*root), (kEnd - kBegin + ppg - 1) / ppg});
     }
+    if (first < count) enqueueRootRun(std::move(root), first);
+    for (int i = first; i < count; ++i) slotInRun_[partitionIndices[i]] = 0;
     // Single deferred readback of all sums; on an async device this is the
     // first point the API thread waits on the stream.
     std::vector<double> sums(static_cast<std::size_t>(count));
@@ -649,11 +634,13 @@ class AccelImpl : public Implementation {
       device_->launch(*device_->getKernel(spec), dims, args, work);
 
       const int p = config_.patternCount;
-      enqueueReduceRange(*siteLogL_, n * slotsPer, 0, p);
+      auto reduce = std::make_shared<PartitionStage>();
+      stageReduction(*reduce, *siteLogL_, 0, p);
       if (derivs) {
-        enqueueReduceRange(*siteD1_, n * slotsPer + 1, 0, p);
-        enqueueReduceRange(*siteD2_, n * slotsPer + 2, 0, p);
+        stageReduction(*reduce, *siteD1_, 0, p);
+        stageReduction(*reduce, *siteD2_, 0, p);
       }
+      enqueueReduction(std::move(reduce), n * slotsPer);
     }
     std::vector<double> sums(static_cast<std::size_t>(count) * slotsPer);
     readResults(sums);
@@ -731,15 +718,17 @@ class AccelImpl : public Implementation {
 
  private:
   /// Host-side staging for one batched matrix launch, owned by the stream
-  /// until the launch has executed.
+  /// until the launch has executed: per edge its model's {Cijk,
+  /// eigenvalues, rates} pointers, its length and its destination index.
   struct MatrixStage {
+    std::vector<const void*> models;
     std::vector<Real> lengths;
     std::vector<std::int32_t> indices;
   };
 
-  /// Host-side staging for one partitioned fused partials launch: the
-  /// 5-pointer table plus the int32[4]-per-op range table, kept alive
-  /// together by the stream.
+  /// Host-side staging for one table-driven launch (fused partials, root
+  /// integration, segmented reduction): the per-entry pointer table plus
+  /// the int32[4]-per-entry range table, kept alive together by the stream.
   struct PartitionStage {
     std::vector<const void*> table;
     std::vector<std::int32_t> ranges;
@@ -851,12 +840,21 @@ class AccelImpl : public Implementation {
     return (tip1 && tip2) ? 0 : (tip1 || tip2) ? 1 : 2;
   }
 
-  /// One batched matrix launch for a (eigen, rates) model pair, including
-  /// the cross-stream hazard fencing. The stage is a host-side
-  /// keep-alive owned by the stream — no device staging copies, so on an
-  /// async device the launch pipelines instead of flushing.
-  void enqueueMatrixBatch(int eigenIndex, int ratesIndex,
-                          std::shared_ptr<MatrixStage> stage, bool derivs = false) {
+  /// Append one edge, with its (eigen, rates) model, to a matrix batch.
+  void stageEdge(MatrixStage& stage, int eigenIndex, int ratesIndex, double length,
+                 int matrixIndex) {
+    stage.models.insert(stage.models.end(), {cijk_[eigenIndex]->data(),
+                                             eval_[eigenIndex]->data(),
+                                             rates_[ratesIndex]->data()});
+    stage.lengths.push_back(static_cast<Real>(length));
+    stage.indices.push_back(matrixIndex);
+  }
+
+  /// One batched matrix launch over every staged edge, including the
+  /// cross-stream hazard fencing. The stage is a host-side keep-alive owned
+  /// by the stream — no device staging copies, so on an async device the
+  /// launch pipelines instead of flushing.
+  void enqueueMatrixBatch(std::shared_ptr<MatrixStage> stage, bool derivs = false) {
     const int s = config_.stateCount;
     const int c = config_.categoryCount;
     const int n = static_cast<int>(stage->lengths.size());
@@ -866,9 +864,7 @@ class AccelImpl : public Implementation {
 
     hal::KernelArgs args;
     args.buffers[0] = matrixAlloc_->data();
-    args.buffers[1] = cijk_[eigenIndex]->data();
-    args.buffers[2] = eval_[eigenIndex]->data();
-    args.buffers[3] = rates_[ratesIndex]->data();
+    args.buffers[1] = stage->models.data();
     args.buffers[6] = stage->lengths.data();
     args.buffers[7] = stage->indices.data();
     args.ints[0] = c;
@@ -1246,40 +1242,112 @@ class AccelImpl : public Implementation {
     std::fill(matrixReadByC_.begin(), matrixReadByC_.end(), char(0));
   }
 
-  /// Enqueue the weighted reduction of `site` over [kBegin, kEnd) into result
-  /// slot `slot`. Phase 1 partial-sums fixed 1024-pattern blocks laid out
-  /// from kBegin; phase 2 combines them in ascending order. The block size
-  /// depends only on the range, so every framework and both sync/async
-  /// paths bracket identically, and a partition's sum brackets exactly as a
-  /// standalone per-partition buffer would.
-  void enqueueReduceRange(hal::Buffer& site, int slot, int kBegin, int kEnd) {
+  /// One run of root entries (pairwise-disjoint ranges of siteLogL_):
+  /// one table-driven root launch, then the segmented reduction of the
+  /// same ranges into result slots from `firstSlot`.
+  void enqueueRootRun(std::shared_ptr<PartitionStage> root, int firstSlot) {
+    const auto& c = config_;
+    const int entries = static_cast<int>(root->ranges.size() / 4);
+    hal::KernelSpec spec = baseSpec(hal::KernelId::RootLikelihood);
+    hal::KernelArgs args;
+    args.buffers[5] = root->table.data();
+    args.buffers[6] = root->ranges.data();
+    args.ints[0] = c.patternCount;
+    args.ints[1] = c.categoryCount;
+    args.ints[2] = c.stateCount;
+    args.ints[3] = integratePpg();
+    args.ints[4] = entries;
+
+    hal::LaunchDims dims;
+    dims.numGroups = stagedGroups(*root);
+    dims.groupSize = integratePpg();
+
+    const int patterns = stagedPatterns(*root);
+    perf::LaunchWork work;
+    work.flops = kernels::rootFlops(patterns, c.categoryCount, c.stateCount);
+    work.bytes = kernels::rootBytes(patterns, c.categoryCount, c.stateCount, sizeof(Real));
+    work.fmaFriendly = true;
+    work.doublePrecision = !spec.singlePrecision;
+    work.useFma = useFma_;
+    hal::LaunchOptions opts;
+    opts.keepAlive = root;
+    device_->launch(*device_->getKernel(spec), dims, args, work, opts);
+
+    auto reduce = std::make_shared<PartitionStage>();
+    for (std::size_t r = 0; r < root->ranges.size(); r += 4) {
+      stageReduction(*reduce, *siteLogL_, root->ranges[r], root->ranges[r + 1]);
+    }
+    enqueueReduction(std::move(reduce), firstSlot);
+  }
+
+  /// Groups a stage's range table spans: the end of its last row.
+  static int stagedGroups(const PartitionStage& stage) {
+    return stage.ranges.empty()
+               ? 0
+               : stage.ranges[stage.ranges.size() - 2] + stage.ranges.back();
+  }
+
+  /// Total patterns over a stage's range table.
+  static int stagedPatterns(const PartitionStage& stage) {
+    int patterns = 0;
+    for (std::size_t r = 0; r < stage.ranges.size(); r += 4) {
+      patterns += stage.ranges[r + 1] - stage.ranges[r];
+    }
+    return patterns;
+  }
+
+  /// Append one (site buffer, pattern range) entry to a segmented
+  /// reduction; its phase-1 blocks follow the previous entry's.
+  void stageReduction(PartitionStage& stage, hal::Buffer& site, int kBegin, int kEnd) {
+    const int offset = stagedGroups(stage);
+    stage.table.push_back(site.data());
+    stage.ranges.insert(stage.ranges.end(),
+                        {kBegin, kEnd, offset,
+                         (kEnd - kBegin + kReducePatternsPerBlock - 1) /
+                             kReducePatternsPerBlock});
+  }
+
+  /// Enqueue the segmented weighted reduction of every staged entry, entry
+  /// e into result slot firstSlot + e. Phase 1 partial-sums fixed
+  /// 1024-pattern blocks laid out from each entry's range start, in one
+  /// grid over all entries; phase 2 combines each entry's blocks in
+  /// ascending order, one group per entry. The block size depends only on
+  /// the range, so every framework and both sync/async paths bracket
+  /// identically, and a partition's sum brackets exactly as a standalone
+  /// per-partition buffer would.
+  void enqueueReduction(std::shared_ptr<PartitionStage> stage, int firstSlot) {
     hal::KernelSpec spec = baseSpec(hal::KernelId::SumSiteLikelihoods);
-    const int blocks = (kEnd - kBegin + kReducePatternsPerBlock - 1) /
-                       kReducePatternsPerBlock;
+    hal::Kernel* kernel = device_->getKernel(spec);
+    const int entries = static_cast<int>(stage->table.size());
+    const int blocks = stagedGroups(*stage);
+    const int patterns = stagedPatterns(*stage);
+    hal::LaunchOptions opts;
+    opts.keepAlive = stage;
     {
       hal::KernelArgs args;
-      args.buffers[0] = site.data();
       args.buffers[1] = patternWeights_->data();
       args.buffers[2] = reduceScratch_->data();
+      args.buffers[5] = stage->table.data();
+      args.buffers[6] = stage->ranges.data();
       args.ints[1] = kReducePatternsPerBlock;
-      args.ints[3] = kBegin;
-      args.ints[4] = kEnd;
+      args.ints[4] = entries;
       perf::LaunchWork work;
-      work.flops = 2.0 * (kEnd - kBegin);
-      work.bytes = 2.0 * (kEnd - kBegin) * sizeof(Real);
+      work.flops = 2.0 * patterns;
+      work.bytes = 2.0 * patterns * sizeof(Real);
       work.doublePrecision = true;
-      device_->launch(*device_->getKernel(spec), {blocks, 1, 0}, args, work);
+      device_->launch(*kernel, {blocks, 1, 0}, args, work, opts);
     }
     {
       hal::KernelArgs args;
       args.buffers[0] = reduceScratch_->data();
-      args.buffers[2] = static_cast<double*>(result_->data()) + slot;
-      args.ints[2] = blocks;
+      args.buffers[2] = static_cast<double*>(result_->data()) + firstSlot;
+      args.buffers[6] = stage->ranges.data();
+      args.ints[4] = entries;
       perf::LaunchWork work;
       work.flops = static_cast<double>(blocks);
-      work.bytes = static_cast<double>(blocks + 1) * sizeof(double);
+      work.bytes = static_cast<double>(blocks + entries) * sizeof(double);
       work.doublePrecision = true;
-      device_->launch(*device_->getKernel(spec), {1, 1, 0}, args, work);
+      device_->launch(*kernel, {entries, 1, 0}, args, work, opts);
     }
   }
 
@@ -1300,6 +1368,7 @@ class AccelImpl : public Implementation {
   std::vector<char> matrixReadByC_;  // read on stream 0 since its last drain
   hal::StreamEventPtr matricesReady_;
   std::vector<int> matrixReadScratch_;
+  std::vector<char> slotInRun_;  // root-run membership per range-table slot
   int resultParity_ = 0;
 
   hal::BufferPtr matrixAlloc_, scaleAlloc_;

@@ -313,16 +313,27 @@ void SimDevice::executeRun(std::size_t streamIdx, const LaunchRecord* recs,
     executeSync(streamIdx, recs[0]);
     return;
   }
-  if (recorder_ != nullptr) recorder_->setGauge(obs::Gauge::kInFlight, n);
+  // The gauge drops back to 0 on every exit, a kernel that throws included.
+  struct InFlight {
+    obs::TraceRecorder* recorder;
+    InFlight(obs::TraceRecorder* r, std::size_t n) : recorder(r) {
+      if (recorder != nullptr) recorder->setGauge(obs::Gauge::kInFlight, n);
+    }
+    ~InFlight() {
+      if (recorder != nullptr) recorder->setGauge(obs::Gauge::kInFlight, 0);
+    }
+  } inFlight(recorder_, n);
   if (recs[0].kind == LaunchRecord::Kind::Fill) {  // fills never fuse: n == 1
     std::memset(static_cast<std::byte*>(recs[0].fillBuf->data()) +
                     recs[0].fillOffset,
                 0, recs[0].fillBytes);
-    if (recorder_ != nullptr) recorder_->setGauge(obs::Gauge::kInFlight, 0);
     return;
   }
   const auto t0 = Clock::now();
-  std::vector<GridBatchItem> items(n);
+  // Only this stream's worker touches its item buffer; it grows only at a
+  // new fused-run high-water mark.
+  auto& items = streams_[streamIdx].items;
+  if (items.size() < n) items.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     items[i] = {recs[i].fn, recs[i].dims, &recs[i].args};
   }
@@ -345,12 +356,17 @@ void SimDevice::executeRun(std::size_t streamIdx, const LaunchRecord* recs,
     timeline_.modeledSeconds = std::max(timeline_.modeledSeconds, slot.clock);
   }
   if (recorder_ != nullptr && recorder_->timingEnabled()) {
+    // The members of a fused run share one dispatch: each gets an equal
+    // slice of it, staggered from t0, so the kernel spans of a run add up
+    // to its measured time once rather than n times.
+    const std::uint64_t runBeginNs = recorder_->sinceEpochNs(t0);
+    const std::uint64_t runNs = recorder_->sinceEpochNs(t1) - runBeginNs;
     for (std::size_t i = 0; i < n; ++i) {
       obs::TraceEvent ev;
       ev.category = obs::Category::kKernel;
       ev.name = kernelIdName(recs[i].spec.id);
-      ev.beginNs = recorder_->sinceEpochNs(t0);
-      ev.durNs = recorder_->sinceEpochNs(t1) - ev.beginNs;
+      ev.beginNs = runBeginNs + runNs * i / n;
+      ev.durNs = runBeginNs + runNs * (i + 1) / n - ev.beginNs;
       ev.tid = 1 + static_cast<int>(streamIdx);  // per-stream worker
       ev.stream = 1 + static_cast<int>(streamIdx);
       ev.groups = static_cast<std::uint64_t>(recs[i].dims.numGroups);
@@ -366,7 +382,6 @@ void SimDevice::executeRun(std::size_t streamIdx, const LaunchRecord* recs,
       recorder_->recordEvent(std::move(ev));
     }
   }
-  if (recorder_ != nullptr) recorder_->setGauge(obs::Gauge::kInFlight, 0);
 }
 
 /// Signal: stamp the producer clock into the event (the stream signals it

@@ -22,6 +22,7 @@
 
 #include "hal/command_stream.h"
 #include "hal/hal.h"
+#include "hal/workgroup_executor.h"
 
 namespace bgl::hal {
 
@@ -123,6 +124,7 @@ class SimDevice : public Device {
   struct StreamSlot {
     std::unique_ptr<CommandStream> stream;
     double clock = 0.0;
+    std::vector<GridBatchItem> items;  // the worker's reusable run buffer
   };
 
   int clampStream(int s) const {

@@ -4,11 +4,25 @@
 
 namespace bgl::hal {
 
+namespace {
+
+/// The calling thread's local-memory arena, grown to at least `bytes`. It
+/// only grows (to the thread's high-water mark), so a chunk allocates
+/// nothing once the thread has run a group that large. Kernels write local
+/// memory before reading it, so the arena is not cleared between groups.
+std::byte* localArena(std::size_t bytes) {
+  thread_local std::vector<std::byte> arena;
+  if (arena.size() < bytes) arena.resize(bytes);
+  return arena.data();
+}
+
+}  // namespace
+
 void executeGrid(KernelFn fn, const LaunchDims& dims, const KernelArgs& args,
                  unsigned maxWorkers) {
   if (dims.numGroups <= 0) return;
 
-  // Chunk groups so each task amortizes queue overhead; one arena per task.
+  // Chunk groups so each task amortizes queue overhead; one arena per thread.
   auto& pool = globalThreadPool();
   unsigned workers = maxWorkers == 0 ? pool.size() + 1 : maxWorkers;
   const int chunks = static_cast<int>(
@@ -19,11 +33,10 @@ void executeGrid(KernelFn fn, const LaunchDims& dims, const KernelArgs& args,
   pool.parallelFor(
       chunks,
       [&](int chunk) {
-        std::vector<std::byte> localMem(dims.localMemBytes);
         WorkGroupCtx ctx;
         ctx.groupSize = dims.groupSize;
         ctx.numGroups = dims.numGroups;
-        ctx.localMem = localMem.empty() ? nullptr : localMem.data();
+        ctx.localMem = dims.localMemBytes ? localArena(dims.localMemBytes) : nullptr;
         ctx.localMemBytes = dims.localMemBytes;
         const int begin = chunk * groupsPerChunk;
         const int end = std::min(dims.numGroups, begin + groupsPerChunk);
@@ -63,7 +76,7 @@ void executeGridBatch(const GridBatchItem* items, std::size_t count,
   pool.parallelFor(
       chunks,
       [&](int chunk) {
-        std::vector<std::byte> localMem(maxLocalMem);
+        std::byte* localMem = maxLocalMem ? localArena(maxLocalMem) : nullptr;
         const int begin = chunk * groupsPerChunk;
         const int end = std::min(totalGroups, begin + groupsPerChunk);
         std::size_t item = 0;
@@ -74,7 +87,7 @@ void executeGridBatch(const GridBatchItem* items, std::size_t count,
           ctx.groupId = g - offsets[item];
           ctx.groupSize = it.dims.groupSize;
           ctx.numGroups = it.dims.numGroups;
-          ctx.localMem = it.dims.localMemBytes ? localMem.data() : nullptr;
+          ctx.localMem = it.dims.localMemBytes ? localMem : nullptr;
           ctx.localMemBytes = it.dims.localMemBytes;
           it.fn(ctx, *it.args);
         }

@@ -30,27 +30,27 @@
 //    i0 patterns  i1 categories  i2 states  i3 patternsPerGroup
 //    i4 op count; grid = sum over ops of patternBlocks * categories
 //
-//  TransitionMatrices / TransitionMatricesDerivs (one launch per edge batch)
+//  TransitionMatrices / TransitionMatricesDerivs (one launch per edge batch,
+//  edges of any mix of substitution models)
 //    b0 matrix pool base; each edge writes P [C][S][S] at its index
-//    b1 Cijk    [i][k][jpad] = evec[i][k] * ivec[k][j], j zero-padded to
-//       jpad = paddedStates(S) (packCijk)
-//    b2 eigenvalues [S]
-//    b3 category rates [C]
+//    b1 model table, 3 pointers per edge: Cijk [i][k][jpad] = evec[i][k] *
+//       ivec[k][j], j zero-padded to jpad = paddedStates(S) (packCijk);
+//       eigenvalues [S]; category rates [C]
 //    b6 per-edge lengths (Real[count])
 //    b7 int32 matrix-pool indices, stride i3 reals; for derivs three
 //       count-long sections (P, P', P'')
 //    i0 categories  i1 states  i2 edge count  i3 matrix stride
 //    grid = count * categories
 //
-//  RootLikelihood
-//    b0 root partials [C][P][S]
-//    b1 state frequencies [S]
-//    b2 category weights [C]
-//    b3 site log-likelihoods out [P] (Real)
-//    b4 cumulative scale factors [P] or null
+//  RootLikelihood (one launch per batch of i4 >= 1 entries, each over its
+//  own pattern range)
+//    b5 pointer table, 5 entries per entry: root partials [C][P][S], state
+//       frequencies [S], category weights [C], site log-likelihoods out [P]
+//       (Real), cumulative scale factors [P] or null
+//    b6 int32 range table, 4 entries per entry {rangeBegin, rangeEnd,
+//       groupOffset, patternBlocks}, as for the partials kernels
 //    i0 patterns  i1 categories  i2 states  i3 patternsPerGroup
-//    i4, i5 pattern range [i4, i5), block 0 at i4 (the whole axis or one
-//    partition of a concatenated pattern axis)
+//    i4 entry count; grid = sum over entries of patternBlocks
 //
 //  EdgeLikelihood
 //    b0 parent partials [C][P][S]
@@ -82,15 +82,17 @@
 //    b0 cumulative [P]  i0 patterns
 //    Multi-group (i1 = patterns per group > 0): grid over pattern blocks.
 //
-//  SumSiteLikelihoods (two phases)
-//    Phase 1 (i1 = block size > 0): b0 site log-likelihoods [P] (Real),
-//    b1 pattern weights [P] (Real); writes per-block partial sums to
-//    b2[group], blocks laid out from i3 covering patterns [i3, i4) —
-//    per-partition sums match a standalone per-partition buffer's
-//    bracketing exactly.
-//    Phase 2 (i1 = 0): group 0 sums the i2 doubles at b0 in ascending
-//    order into b2[0]. Fixed block size => deterministic bracketing
-//    everywhere.
+//  SumSiteLikelihoods (segmented, two phases, i4 entries)
+//    b6 int32 range table, 4 entries per entry {rangeBegin, rangeEnd,
+//       blockOffset, blocks}
+//    Phase 1 (i1 = block size > 0): b5 site buffer per entry ([P] Real),
+//    b1 pattern weights [P] (Real); grid = total blocks, each writing its
+//    partial sum to b2[group], an entry's blocks laid out from its
+//    rangeBegin — per-partition sums match a standalone per-partition
+//    buffer's bracketing exactly.
+//    Phase 2 (i1 = 0): grid = entries; group e sums its entry's blocks at
+//    b0 + blockOffset in ascending order into b2[e]. Fixed block size =>
+//    deterministic bracketing everywhere.
 #pragma once
 
 #include <cstddef>

@@ -164,6 +164,24 @@ inline int stateCount(const KernelArgs& args) {
   }
 }
 
+/// Range-table decode shared by every multi-entry launch: each entry owns a
+/// row of int32[4] {rangeBegin, rangeEnd, groupOffset, groups}, and the
+/// owner of global group `gid` is the last entry whose groupOffset is
+/// <= gid (binary search over that monotone column; entries with no
+/// groups are never chosen for a group they do not own).
+inline int rangeEntry(const std::int32_t* ranges, int entries, int gid) {
+  int lo = 0, hi = entries - 1;
+  while (lo < hi) {
+    const int mid = (lo + hi + 1) / 2;
+    if (static_cast<int>(ranges[4 * mid + 2]) <= gid) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
 // ---------------------------------------------------------------------------
 // Partials kernels (the Eq. 1 core).
 // ---------------------------------------------------------------------------
@@ -182,24 +200,12 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   // [begin, end) (the whole axis or one partition of a concatenated axis),
   // so ops contribute a VARIABLE number of groups. buffers[5] holds each
   // op's five pointers; buffers[6] holds int32[4] per op: {rangeBegin,
-  // rangeEnd, groupOffset, patternBlocks}. The group id is decoded by binary
-  // search over the monotone groupOffset column. Every group computes
-  // exactly what a standalone launch for its op would, so fusing a level's
-  // operations stays bit-identical to the per-op sequence.
-  const int batchOps = static_cast<int>(args.ints[4]);
-  const int gid = wg.groupId;
+  // rangeEnd, groupOffset, patternBlocks}, decoded by rangeEntry. Every
+  // group computes exactly what a standalone launch for its op would, so
+  // fusing a level's operations stays bit-identical to the per-op sequence.
   const auto* ranges = static_cast<const std::int32_t*>(args.buffers[6]);
-  int lo = 0, hi = batchOps - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi + 1) / 2;
-    if (static_cast<int>(ranges[4 * mid + 2]) <= gid) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  const int op = lo;
-  const int local = gid - static_cast<int>(ranges[4 * op + 2]);
+  const int op = rangeEntry(ranges, static_cast<int>(args.ints[4]), wg.groupId);
+  const int local = wg.groupId - static_cast<int>(ranges[4 * op + 2]);
   const int opBlocks = static_cast<int>(ranges[4 * op + 3]);
   if (local < 0 || local >= opBlocks * categories) return;
   const int pb = local % opBlocks;
@@ -232,6 +238,9 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
     // poor fit, which Table V quantifies.
     auto* lm = reinterpret_cast<Real*>(wg.localMem);
     const int items = ppg * states;
+    // Items past the group's last pattern (a range's final block) have
+    // nothing to stage or compute: phases B and C stop at the live ones.
+    const int liveItems = (kEnd - kBegin) * states;
     const std::size_t partialsStage =
         (Child1 == ChildKind::Partials ? static_cast<std::size_t>(ppg) * states : 0) +
         (Child2 == ChildKind::Partials ? static_cast<std::size_t>(ppg) * states : 0);
@@ -257,11 +266,10 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
     }
 
     // Phase B: each item copies its own child-partials element.
-    for (int item = 0; item < items; ++item) {
+    for (int item = 0; item < liveItems; ++item) {
       const int kk = item / states;
       const int i = item % states;
       const int k = kBegin + kk;
-      if (k >= kEnd) continue;
       const std::size_t row = planeOffset + static_cast<std::size_t>(k) * states;
       if constexpr (Child1 == ChildKind::Partials) {
         lmP1[static_cast<std::size_t>(kk) * states + i] =
@@ -274,11 +282,10 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
     }
 
     // Phase C: compute, one (pattern, state) entry per item.
-    for (int item = 0; item < items; ++item) {
+    for (int item = 0; item < liveItems; ++item) {
       const int kk = item / states;
       const int i = item % states;
       const int k = kBegin + kk;
-      if (k >= kEnd) continue;
       const std::size_t row = planeOffset + static_cast<std::size_t>(k) * states;
       Real sum1, sum2;
       if constexpr (Child1 == ChildKind::Partials) {
@@ -397,10 +404,11 @@ void partialsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
 template <typename Real, int StatesT, bool UseFma, bool WithDerivs>
 void transitionMatrixKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   // One launch covers a batch of `count` edges (ints[2]) with per-edge
-  // lengths in buffers[6] and destination matrix-pool indices in
-  // buffers[7] (stride ints[3] reals) — a single kernel launch per
-  // updateTransitionMatrices call, which keeps launch-overhead-dominated
-  // devices viable. The state count is in ints[1].
+  // lengths in buffers[6], destination matrix-pool indices in buffers[7]
+  // (stride ints[3] reals) and per-edge models in buffers[1] — a single
+  // kernel launch per matrix update, whatever the number of substitution
+  // models, which keeps launch-overhead-dominated devices viable. The
+  // state count is in ints[1].
   const int states = (StatesT > 0) ? StatesT : static_cast<int>(args.ints[1]);
   const int categories = static_cast<int>(args.ints[0]);
   const int batchCount = static_cast<int>(args.ints[2]);
@@ -424,9 +432,12 @@ void transitionMatrixKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
          c * matStride;
   }
 
-  const Real* BGL_RESTRICT cijk = static_cast<const Real*>(args.buffers[1]);
-  const Real* BGL_RESTRICT eval = static_cast<const Real*>(args.buffers[2]);
-  const Real* BGL_RESTRICT rates = static_cast<const Real*>(args.buffers[3]);
+  // The edge's model: {Cijk, eigenvalues, category rates}.
+  const void* const* model = static_cast<const void* const*>(args.buffers[1]) +
+                             static_cast<std::size_t>(edge) * 3;
+  const Real* BGL_RESTRICT cijk = static_cast<const Real*>(model[0]);
+  const Real* BGL_RESTRICT eval = static_cast<const Real*>(model[1]);
+  const Real* BGL_RESTRICT rates = static_cast<const Real*>(model[2]);
 
   // exp(lambda_k * r_c * t) per eigenvalue, staged on the stack (the GPU
   // kernel stages this in local memory). The association must be
@@ -478,17 +489,26 @@ void rootLikelihoodKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
   const int states = stateCount<StatesT>(args);
   const int ppg = static_cast<int>(args.ints[3]);
 
-  const Real* BGL_RESTRICT partials = static_cast<const Real*>(args.buffers[0]);
-  const Real* BGL_RESTRICT freqs = static_cast<const Real*>(args.buffers[1]);
-  const Real* BGL_RESTRICT weights = static_cast<const Real*>(args.buffers[2]);
-  Real* BGL_RESTRICT siteOut = static_cast<Real*>(args.buffers[3]);
-  const Real* BGL_RESTRICT cumScale = static_cast<const Real*>(args.buffers[4]);
+  // A launch covers ints[4] entries, each integrating one root over its own
+  // pattern range (the whole axis or one partition of a concatenated
+  // axis). buffers[5] holds each entry's five pointers; buffers[6] holds
+  // its int32[4] row {rangeBegin, rangeEnd, groupOffset, patternBlocks},
+  // decoded by rangeEntry. The per-pattern math is position-independent,
+  // so every entry matches a standalone instance bit for bit.
+  const auto* ranges = static_cast<const std::int32_t*>(args.buffers[6]);
+  const int e = rangeEntry(ranges, static_cast<int>(args.ints[4]), wg.groupId);
+  const int block = wg.groupId - static_cast<int>(ranges[4 * e + 2]);
+  if (block >= static_cast<int>(ranges[4 * e + 3])) return;
+  const void* const* tbl = static_cast<const void* const*>(args.buffers[5]) +
+                           static_cast<std::size_t>(e) * 5;
+  const Real* BGL_RESTRICT partials = static_cast<const Real*>(tbl[0]);
+  const Real* BGL_RESTRICT freqs = static_cast<const Real*>(tbl[1]);
+  const Real* BGL_RESTRICT weights = static_cast<const Real*>(tbl[2]);
+  Real* BGL_RESTRICT siteOut = static_cast<Real*>(const_cast<void*>(tbl[3]));
+  const Real* BGL_RESTRICT cumScale = static_cast<const Real*>(tbl[4]);
 
-  // Pattern range [ints[4], ints[5]): the whole axis or one partition of
-  // a concatenated axis. The per-pattern math is position-independent, so
-  // a partition's range matches a standalone instance bit for bit.
-  const int kBegin = static_cast<int>(args.ints[4]) + wg.groupId * ppg;
-  const int kEnd = std::min(static_cast<int>(args.ints[5]), kBegin + ppg);
+  const int kBegin = static_cast<int>(ranges[4 * e]) + block * ppg;
+  const int kEnd = std::min(static_cast<int>(ranges[4 * e + 1]), kBegin + ppg);
 
   for (int k = kBegin; k < kEnd; ++k) {
     Real lik = Real(0);
@@ -681,34 +701,45 @@ void resetScaleKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
 
 template <typename Real>
 void sumSiteLikelihoodsKernel(const WorkGroupCtx& wg, const KernelArgs& args) {
-  // Two-phase multi-group reduction. Phase 1 (ints[1] = block size > 0):
-  // group g writes the partial sum of its pattern block to out[g], blocks
-  // laid out from the range start [ints[3], ints[4]) — block b of a
-  // partition's range sums exactly the patterns that block b of a
-  // standalone per-partition buffer would. Phase 2 (ints[2] = block count):
-  // group 0 combines the partials at buffers[0] in ascending block order.
-  // The block size is fixed, so every implementation and both sync/async
-  // paths produce the identical bracketing.
+  // Segmented two-phase reduction over ints[4] entries, each a weighted sum
+  // of one site buffer over one pattern range. buffers[6] holds each
+  // entry's int32[4] row {rangeBegin, rangeEnd, blockOffset, blocks}.
+  // Phase 1 (ints[1] = block size > 0): one grid over every entry's
+  // blocks; group g writes the partial sum of its block of the site buffer
+  // buffers[5][entry], weighted by buffers[1], to buffers[2][g]. Blocks are
+  // laid out from the entry's range start, so block b of a partition's
+  // range sums exactly the patterns block b of a standalone per-partition
+  // buffer would. Phase 2 (ints[1] = 0): group e combines entry e's
+  // partials at buffers[0] + blockOffset in ascending block order into
+  // buffers[2][e]. The block size is fixed, so every implementation and
+  // both sync/async paths produce the identical bracketing.
   const int blockSize = static_cast<int>(args.ints[1]);
+  const int entries = static_cast<int>(args.ints[4]);
+  const auto* ranges = static_cast<const std::int32_t*>(args.buffers[6]);
   double* BGL_RESTRICT out = static_cast<double*>(args.buffers[2]);
   if (blockSize > 0) {
-    const Real* BGL_RESTRICT site = static_cast<const Real*>(args.buffers[0]);
+    const int e = rangeEntry(ranges, entries, wg.groupId);
+    const int block = wg.groupId - static_cast<int>(ranges[4 * e + 2]);
+    if (block >= static_cast<int>(ranges[4 * e + 3])) return;
+    const Real* BGL_RESTRICT site = static_cast<const Real*>(
+        static_cast<const void* const*>(args.buffers[5])[e]);
     const Real* BGL_RESTRICT weights = static_cast<const Real*>(args.buffers[1]);
-    const int kBegin = static_cast<int>(args.ints[3]) + wg.groupId * blockSize;
-    const int kEnd = std::min(static_cast<int>(args.ints[4]), kBegin + blockSize);
-    if (kBegin >= kEnd) return;
+    const int kBegin = static_cast<int>(ranges[4 * e]) + block * blockSize;
+    const int kEnd = std::min(static_cast<int>(ranges[4 * e + 1]), kBegin + blockSize);
     double sum = 0.0;
     for (int k = kBegin; k < kEnd; ++k)
       sum += static_cast<double>(weights[k]) * static_cast<double>(site[k]);
     out[wg.groupId] = sum;
     return;
   }
-  if (wg.groupId != 0) return;
-  const int blockCount = static_cast<int>(args.ints[2]);
-  const double* BGL_RESTRICT partial = static_cast<const double*>(args.buffers[0]);
+  const int e = wg.groupId;
+  if (e >= entries) return;
+  const double* BGL_RESTRICT partial =
+      static_cast<const double*>(args.buffers[0]) + ranges[4 * e + 2];
+  const int blocks = static_cast<int>(ranges[4 * e + 3]);
   double sum = 0.0;
-  for (int b = 0; b < blockCount; ++b) sum += partial[b];
-  out[0] = sum;
+  for (int b = 0; b < blocks; ++b) sum += partial[b];
+  out[e] = sum;
 }
 
 }  // namespace bgl::kernels::detail

@@ -3,7 +3,8 @@
 // bglCalculateRootLogLikelihoods operate on the whole pattern axis, so on an
 // instance split into partitions they must reproduce a fresh
 // single-partition instance bit for bit — on every implementation family,
-// in sync, async and pipelined modes, with scaling on. Plus: a rejected
+// in sync, async and pipelined modes, with scaling on. Plus: one root call
+// over several entries equals one call per entry, and a rejected
 // scale-factor accumulation or removal leaves the cumulative buffer
 // untouched on every family.
 #include <gtest/gtest.h>
@@ -169,6 +170,90 @@ std::string wholeAxisName(const ::testing::TestParamInfo<std::tuple<int, int>>& 
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, PartitionWholeAxis,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(std::size(kFamilies))),
+                       ::testing::Range(0, static_cast<int>(std::size(kModes)))),
+    wholeAxisName);
+
+class PartitionRootBatch : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// One root call over several entries shares launches across entries; its
+// results must equal one call per entry in the same order: every sum, the
+// total, and the site log-likelihoods (last entry to write a pattern wins).
+// Covered: a partition named twice with different root buffers, a
+// 1-pattern partition (the map validation gives every partition at least
+// one pattern, so no range is ever empty) and the whole-axis slot through
+// the partition-blind call.
+TEST_P(PartitionRootBatch, MatchesPerEntryCalls) {
+  const auto [familyIndex, modeIndex] = GetParam();
+  const FamilyConfig& family = kFamilies[familyIndex];
+  const long mode = kModes[modeIndex];
+  const Problem p;
+  const int inst = createInstance(p, family, mode);
+  if (inst < 0) GTEST_SKIP() << family.label << " unavailable (code " << inst << ")";
+  std::vector<double> sites;
+  ASSERT_TRUE(std::isfinite(evaluateRound(inst, p, 1.0, sites)));
+
+  // Four partitions: 250 + 1 + 269 + 180 patterns.
+  std::vector<int> map(kPatterns, 0);
+  for (int k = 250; k < kPatterns; ++k) map[k] = k == 250 ? 1 : k < 520 ? 2 : 3;
+  ASSERT_EQ(bglSetPatternPartitions(inst, 4, map.data()), BGL_SUCCESS);
+
+  const int root = p.tree.root();
+  const int inner = root - 1;  // another internal node's partials
+  const int cum = p.cumulativeScale();
+  const std::vector<int> buffers = {root, root, inner, root, inner};
+  const std::vector<int> parts = {0, 1, 0, 3, 2};
+  const int n = static_cast<int>(buffers.size());
+  const std::vector<int> slots(n, 0), cums(n, cum);
+
+  std::vector<double> batched(n, 0.0), batchedSites(kPatterns, 0.0);
+  double batchedTotal = 0.0;
+  ASSERT_EQ(bglCalculateRootLogLikelihoodsByPartition(
+                inst, buffers.data(), slots.data(), slots.data(), cums.data(),
+                parts.data(), n, batched.data(), &batchedTotal),
+            BGL_SUCCESS);
+  ASSERT_EQ(bglGetSiteLogLikelihoods(inst, batchedSites.data()), BGL_SUCCESS);
+
+  std::vector<double> separate(n, 0.0), separateSites(kPatterns, 0.0);
+  double separateTotal = 0.0;
+  for (int e = 0; e < n; ++e) {
+    double total = 0.0;
+    ASSERT_EQ(bglCalculateRootLogLikelihoodsByPartition(
+                  inst, &buffers[e], &slots[e], &slots[e], &cums[e], &parts[e], 1,
+                  &separate[e], &total),
+              BGL_SUCCESS);
+    separateTotal += separate[e];
+  }
+  ASSERT_EQ(bglGetSiteLogLikelihoods(inst, separateSites.data()), BGL_SUCCESS);
+  EXPECT_EQ(batched, separate) << family.label << " " << kModeNames[modeIndex];
+  EXPECT_EQ(batchedTotal, separateTotal) << family.label;
+  EXPECT_EQ(batchedSites, separateSites) << family.label;
+
+  // The whole-axis slot: two partition-blind entries in one call.
+  const int wholeBuffers[2] = {root, inner};
+  const int wholeSlots[2] = {0, 0};
+  const int wholeCums[2] = {cum, cum};
+  double wholeTotal = 0.0;
+  ASSERT_EQ(bglCalculateRootLogLikelihoods(inst, wholeBuffers, wholeSlots, wholeSlots,
+                                           wholeCums, 2, &wholeTotal),
+            BGL_SUCCESS);
+  ASSERT_EQ(bglGetSiteLogLikelihoods(inst, batchedSites.data()), BGL_SUCCESS);
+  double wholeSeparate = 0.0;
+  for (int e = 0; e < 2; ++e) {
+    double logL = 0.0;
+    ASSERT_EQ(bglCalculateRootLogLikelihoods(inst, &wholeBuffers[e], wholeSlots,
+                                             wholeSlots, &wholeCums[e], 1, &logL),
+              BGL_SUCCESS);
+    wholeSeparate += logL;
+  }
+  ASSERT_EQ(bglGetSiteLogLikelihoods(inst, separateSites.data()), BGL_SUCCESS);
+  EXPECT_EQ(wholeTotal, wholeSeparate) << family.label;
+  EXPECT_EQ(batchedSites, separateSites) << family.label;
+  bglFinalizeInstance(inst);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFamilies, PartitionRootBatch,
     ::testing::Combine(::testing::Range(0, static_cast<int>(std::size(kFamilies))),
                        ::testing::Range(0, static_cast<int>(std::size(kModes)))),
     wholeAxisName);

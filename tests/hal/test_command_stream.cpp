@@ -15,6 +15,7 @@
 #include "clsim/cl_runtime.h"
 #include "cudasim/cuda_device.h"
 #include "hal/command_stream.h"
+#include "hal/sim_device.h"
 #include "obs/trace.h"
 #include "perfmodel/device_profiles.h"
 
@@ -393,6 +394,80 @@ TEST(AsyncDevice, InFlightGaugeClearsAfterTrailingFill) {
     dev->finish();
     EXPECT_EQ(recorder.gauge(obs::Gauge::kInFlight), 0u) << dev->frameworkName();
     EXPECT_GE(recorder.gaugeMax(obs::Gauge::kInFlight), 1u) << dev->frameworkName();
+    dev->setRecorder(nullptr);
+  }
+}
+
+void throwingKernel(const hal::WorkGroupCtx&, const hal::KernelArgs&) {
+  throw std::runtime_error("kernel fault on the stream worker");
+}
+
+// A kernel that throws on the stream worker must not leave the gauge at
+// the size of its run: the error surfaces at the next drain, and the idle
+// device reads 0.
+TEST(AsyncDevice, InFlightGaugeClearsAfterWorkerThrow) {
+  for (const auto& dev : {cudasim::createDevice(perf::kHostCpu),
+                          clsim::createDeviceByProfile(perf::kHostCpu)}) {
+    obs::TraceRecorder recorder;
+    dev->setRecorder(&recorder);
+    dev->setAsync(true);
+    hal::KernelSpec spec;
+    spec.id = hal::KernelId::ResetScale;
+    spec.states = 4;
+    hal::SimKernel thrower(spec, &throwingKernel);
+    dev->launch(thrower, {1, 1, 0}, {}, {});
+    EXPECT_THROW(dev->finish(), std::runtime_error) << dev->frameworkName();
+    EXPECT_EQ(recorder.gauge(obs::Gauge::kInFlight), 0u) << dev->frameworkName();
+    EXPECT_GE(recorder.gaugeMax(obs::Gauge::kInFlight), 1u) << dev->frameworkName();
+    dev->setRecorder(nullptr);
+  }
+}
+
+std::atomic<bool> gGateOpen{false};
+
+/// Holds the stream worker until the test opens the gate.
+void gateKernel(const hal::WorkGroupCtx&, const hal::KernelArgs&) {
+  while (!gGateOpen.load()) std::this_thread::yield();
+}
+
+// The members of a fused run share one dispatch, so their kernel spans
+// must add up to the run's measured time once, not once per member:
+// the kernel-category seconds equal the timeline's measured seconds.
+TEST(AsyncDevice, FusedRunCountsKernelTimeOnce) {
+  constexpr int kFused = 8;
+  for (const auto& dev : {cudasim::createDevice(perf::kHostCpu),
+                          clsim::createDeviceByProfile(perf::kHostCpu)}) {
+    obs::TraceRecorder recorder;
+    recorder.enableTiming();
+    dev->setRecorder(&recorder);
+    dev->setAsync(true);
+    hal::KernelSpec spec;
+    spec.id = hal::KernelId::ResetScale;
+    spec.states = 4;
+    auto buf = dev->alloc(4096 * sizeof(double));
+    hal::KernelArgs args;
+    args.buffers[0] = buf->data();
+    args.ints[0] = 4096;
+    args.ints[1] = 64;
+    // The gate holds the worker, so the launches behind it queue up whole
+    // and retire as one run of kFused.
+    gGateOpen = false;
+    hal::SimKernel gate(spec, &gateKernel);
+    dev->launch(gate, {1, 1, 0}, args, {});
+    hal::Kernel* reset = dev->getKernel(spec);
+    for (int i = 0; i < kFused; ++i) {
+      hal::LaunchOptions opts;
+      opts.concurrentWithPrevious = i > 0;
+      dev->launch(*reset, {64, 1, 0}, args, {}, opts);
+    }
+    gGateOpen = true;
+    dev->finish();
+    ASSERT_EQ(recorder.gaugeMax(obs::Gauge::kInFlight), static_cast<std::uint64_t>(kFused))
+        << dev->frameworkName();
+    EXPECT_EQ(recorder.categoryCount(obs::Category::kKernel), kFused + 1u);
+    EXPECT_NEAR(recorder.categorySeconds(obs::Category::kKernel),
+                dev->timeline().measuredSeconds, 1e-9)
+        << dev->frameworkName();
     dev->setRecorder(nullptr);
   }
 }

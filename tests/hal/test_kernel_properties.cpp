@@ -487,11 +487,14 @@ void runMatricesBitwise(int states, bool derivs, bool useFma, int count) {
   spec.singlePrecision = std::is_same_v<Real, float>;
   spec.useFma = useFma;
   const hal::KernelFn fn = kernels::lookupKernel(spec);
+  // Every edge names the one model in the per-edge {Cijk, eval, rates} table.
+  std::vector<const void*> models;
+  for (int e = 0; e < count; ++e) {
+    models.insert(models.end(), {cijk.data(), eval.data(), rates.data()});
+  }
   KernelArgs args;
   args.buffers[0] = pool.data();
-  args.buffers[1] = cijk.data();
-  args.buffers[2] = eval.data();
-  args.buffers[3] = rates.data();
+  args.buffers[1] = models.data();
   args.buffers[6] = lengths.data();
   args.buffers[7] = indices.data();
   args.ints[0] = categories;
@@ -526,6 +529,92 @@ TEST_P(KernelPropertyMatrixBitwise, MatchesUnfusedReference) {
         if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+/// One launch over edges of two interleaved models against one launch per
+/// model: every matrix is computed from its own edge's table entry, so the
+/// pools agree bit for bit.
+template <typename Real>
+void runMixedModelMatrices(int states, bool derivs) {
+  const int categories = 3;
+  const int count = 5;  // edges alternate model 0, 1, 0, 1, 0
+  const auto s = static_cast<std::size_t>(states);
+  Rng rng(3100u + states);
+  struct Model {
+    std::vector<Real> cijk, eval, rates;
+  } models[2];
+  for (Model& m : models) {
+    std::vector<double> evec(s * s), ivec(s * s);
+    for (auto& v : evec) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : ivec) v = rng.uniform(-1.0, 1.0);
+    kernels::packCijk(evec.data(), ivec.data(), states, m.cijk);
+    m.eval.resize(s);
+    for (std::size_t k = 0; k < s; ++k) {
+      m.eval[k] = static_cast<Real>(k == 0 ? 0.0 : rng.uniform(-3.0, 0.0));
+    }
+    m.rates.resize(categories);
+    for (auto& v : m.rates) v = static_cast<Real>(rng.uniform(0.1, 2.5));
+  }
+  std::vector<Real> lengths(count);
+  for (auto& v : lengths) v = static_cast<Real>(rng.uniform(0.001, 1.0));
+
+  const std::size_t stride = categories * s * s;
+  const int sections = derivs ? 3 : 1;
+  KernelSpec spec;
+  spec.id = derivs ? KernelId::TransitionMatricesDerivs : KernelId::TransitionMatrices;
+  spec.states = states;
+  spec.singlePrecision = std::is_same_v<Real, float>;
+  const hal::KernelFn fn = kernels::lookupKernel(spec);
+
+  // Launch the given edges (into the same pool slots either way).
+  auto launch = [&](const std::vector<int>& edges, std::vector<Real>& pool) {
+    const int n = static_cast<int>(edges.size());
+    std::vector<const void*> table;
+    std::vector<Real> edgeLengths;
+    std::vector<std::int32_t> indices(static_cast<std::size_t>(sections) * n);
+    for (int i = 0; i < n; ++i) {
+      const int e = edges[static_cast<std::size_t>(i)];
+      const Model& m = models[e % 2];
+      table.insert(table.end(), {m.cijk.data(), m.eval.data(), m.rates.data()});
+      edgeLengths.push_back(lengths[static_cast<std::size_t>(e)]);
+      for (int sec = 0; sec < sections; ++sec) indices[sec * n + i] = sec * count + e;
+    }
+    KernelArgs args;
+    args.buffers[0] = pool.data();
+    args.buffers[1] = table.data();
+    args.buffers[6] = edgeLengths.data();
+    args.buffers[7] = indices.data();
+    args.ints[0] = categories;
+    args.ints[1] = states;
+    args.ints[2] = n;
+    args.ints[3] = static_cast<std::int64_t>(stride);
+    WorkGroupCtx ctx;
+    ctx.numGroups = n * categories;
+    for (int g = 0; g < ctx.numGroups; ++g) {
+      ctx.groupId = g;
+      fn(ctx, args);
+    }
+  };
+  std::vector<Real> mixed(stride * sections * count, Real(-7));
+  std::vector<Real> perModel = mixed;
+  launch({0, 1, 2, 3, 4}, mixed);
+  launch({0, 2, 4}, perModel);
+  launch({1, 3}, perModel);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    ASSERT_EQ(mixed[i], perModel[i]) << "derivs " << derivs << " entry " << i;
+  }
+}
+
+TEST_P(KernelPropertyMatrixBitwise, MixedModelsMatchPerModelLaunches) {
+  const auto [states, single] = GetParam();
+  for (const bool derivs : {false, true}) {
+    if (single) {
+      runMixedModelMatrices<float>(states, derivs);
+    } else {
+      runMixedModelMatrices<double>(states, derivs);
+    }
+    if (HasFatalFailure()) return;
   }
 }
 

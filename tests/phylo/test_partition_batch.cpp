@@ -201,6 +201,38 @@ TEST(PartitionedBatch, BatchedLaunchCountCollapses) {
   EXPECT_LT(2 * one.lastKernelLaunches(), perInstanceLaunches);
 }
 
+// Partitioned evaluation costs the launches of a 1-partition evaluation:
+// one matrix launch for every model, shared per-level partials launches,
+// one root launch and one two-phase reduction for every partition. At
+// 1,000 two-pattern partitions the round may exceed a 1-partition round by
+// at most 3 launches, on both accelerator frameworks (scaling off).
+TEST(PartitionedBatch, ThousandPartitionsCostOnePartitionsLaunches) {
+  const FamilyConfig accelerators[] = {kFamilies[4], kFamilies[5]};
+  const Problem many = makeProblem(std::vector<int>(1000, 2));
+  const Problem one = makeProblem({2});
+  for (const FamilyConfig& family : accelerators) {
+    auto launchesPerRound = [&](const Problem& problem) {
+      std::vector<PartitionSpec> specs = problem.specs;
+      for (auto& spec : specs) {
+        spec.options.categories = 4;
+        spec.options.useScaling = false;
+        spec.options.resources = {family.resource};
+        spec.options.requirementFlags = family.requirementFlags |
+                                        BGL_FLAG_PRECISION_DOUBLE |
+                                        BGL_FLAG_COMPUTATION_ASYNCH;
+      }
+      PartitionedLikelihood like(problem.tree, specs, PartitionOptions{});
+      EXPECT_EQ(like.instanceCount(), 1) << family.label;
+      EXPECT_TRUE(std::isfinite(like.logLikelihood(problem.tree))) << family.label;
+      return like.lastKernelLaunches();
+    };
+    const std::uint64_t single = launchesPerRound(one);
+    const std::uint64_t thousand = launchesPerRound(many);
+    ASSERT_GT(single, 0u) << family.label;
+    EXPECT_LE(thousand, single + 3) << family.label;
+  }
+}
+
 class PartitionedFailover : public ::testing::Test {
  protected:
   void TearDown() override { ASSERT_EQ(bglSetFaultSpec(""), BGL_SUCCESS); }
